@@ -4,13 +4,15 @@
 //! * `fig1_series`: generating the full simulated series for each operator
 //!   (this is what the `reproduce` binary prints), and
 //! * `fig1_real_ops`: real execution of each operator at small scale on the
-//!   cleartext engine and the Sharemind-like MPC engine, grounding the
-//!   simulated numbers in actually-executed protocols.
+//!   cleartext engine and on the party runtime (a three-party channel mesh),
+//!   grounding the simulated numbers in actually-executed protocols.
 
 use bench::figures::{fig1, MicroOp};
+use conclave_core::config::PartyRuntime;
+use conclave_core::party_exec::execute_op_distributed;
 use conclave_data::SyntheticGenerator;
+use conclave_engine::Table;
 use conclave_ir::ops::{AggFunc, JoinKind, Operator};
-use conclave_mpc::backend::{MpcBackendConfig, MpcEngine};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn series(c: &mut Criterion) {
@@ -57,17 +59,15 @@ fn real_ops(c: &mut Criterion) {
         b.iter(|| conclave_engine::execute(&join, &[&rel, &right]).unwrap())
     });
     group.bench_function("mpc_project_200", |b| {
-        let small = gen.uniform(&["key", "value"], 200, 50);
+        let small = Table::from_rows(gen.uniform(&["key", "value"], 200, 50));
         b.iter(|| {
-            let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
-            engine.execute_op(&project, &[&small]).unwrap()
+            execute_op_distributed(&project, &[&small], 3, 1, PartyRuntime::Channel, false).unwrap()
         })
     });
     group.bench_function("mpc_aggregate_64", |b| {
-        let small = gen.uniform(&["key", "value"], 64, 8);
+        let small = Table::from_rows(gen.uniform(&["key", "value"], 64, 8));
         b.iter(|| {
-            let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
-            engine.execute_op(&agg, &[&small]).unwrap()
+            execute_op_distributed(&agg, &[&small], 3, 1, PartyRuntime::Channel, false).unwrap()
         })
     });
     group.finish();

@@ -5,10 +5,13 @@
 //! * `fig5_real_protocols` executes the hybrid join, public join, hybrid
 //!   aggregation and their pure-MPC counterparts for real at small scale, so
 //!   the relative ordering (public < hybrid < MPC) is grounded in executed
-//!   protocols rather than only in the cost model.
+//!   protocols rather than only in the cost model. The pure-MPC operators
+//!   run on the party runtime over a three-party channel mesh.
 
 use bench::figures::{fig5a, fig5b};
+use conclave_core::config::PartyRuntime;
 use conclave_core::hybrid_exec;
+use conclave_core::party_exec::execute_op_distributed;
 use conclave_data::SyntheticGenerator;
 use conclave_engine::{ColumnarExecutor, Table};
 use conclave_ir::ops::{AggFunc, JoinKind, Operator};
@@ -29,9 +32,9 @@ fn real_protocols(c: &mut Criterion) {
     let mut gen = SyntheticGenerator::new(5);
     let (left, right) = gen.overlapping_pair(150, 1.0);
     let keyed = gen.zipf_keyed(200, 20, 1.1);
-    let left_table = Table::from_rows(left.clone());
-    let right_table = Table::from_rows(right.clone());
-    let keyed_table = Table::from_rows(keyed.clone());
+    let left_table = Table::from_rows(left);
+    let right_table = Table::from_rows(right);
+    let keyed_table = Table::from_rows(keyed);
     let stp = ColumnarExecutor::new();
 
     group.bench_function("hybrid_join_150", |b| {
@@ -69,8 +72,15 @@ fn real_protocols(c: &mut Criterion) {
             kind: JoinKind::Inner,
         };
         b.iter(|| {
-            let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
-            engine.execute_op(&op, &[&left, &right]).unwrap()
+            execute_op_distributed(
+                &op,
+                &[&left_table, &right_table],
+                3,
+                5,
+                PartyRuntime::Channel,
+                false,
+            )
+            .unwrap()
         })
     });
     group.bench_function("hybrid_aggregation_200", |b| {
@@ -97,8 +107,8 @@ fn real_protocols(c: &mut Criterion) {
             out: "total".into(),
         };
         b.iter(|| {
-            let mut engine = MpcEngine::new(MpcBackendConfig::sharemind());
-            engine.execute_op(&op, &[&keyed]).unwrap()
+            execute_op_distributed(&op, &[&keyed_table], 3, 5, PartyRuntime::Channel, false)
+                .unwrap()
         })
     });
     group.finish();

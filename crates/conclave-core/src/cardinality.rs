@@ -317,37 +317,16 @@ impl CardinalityEstimator {
                         .map(|n| n.sorted_by.as_deref() == group_by.first().map(|s| s.as_str()))
                         .unwrap_or(false) =>
             {
-                let n: u64 = in_rows.iter().sum();
-                let counts = conclave_mpc::cost::PrimitiveCounts {
-                    equalities: n,
-                    mults: 2 * n,
-                    shuffled_elems: n * (cols + 1),
-                    opened_elems: n,
-                    ..Default::default()
-                };
-                let t = self
-                    .config
-                    .mpc
-                    .ss_cost
-                    .time_no_overhead(&counts, &self.config.mpc.network);
-                Ok((t, Duration::ZERO))
+                let stats =
+                    self.mpc
+                        .estimate_presorted_aggregate(in_rows.iter().sum(), cols, out_rows);
+                Ok((stats.simulated_time, Duration::ZERO))
             }
             // Division under the secret-sharing backend: charged as an
-            // oblivious fixed-point division (≈30 comparison-equivalents per
-            // row), mirroring the driver's treatment.
+            // oblivious fixed-point division, as the driver charges it.
             Operator::Divide { .. } if self.config.mpc.kind.is_secret_sharing() => {
-                let n: u64 = in_rows.iter().sum();
-                let counts = conclave_mpc::cost::PrimitiveCounts {
-                    comparisons: 30 * n,
-                    ..Default::default()
-                };
-                Ok((
-                    self.config
-                        .mpc
-                        .ss_cost
-                        .time_no_overhead(&counts, &self.config.mpc.network),
-                    Duration::ZERO,
-                ))
+                let stats = self.mpc.estimate_divide(in_rows.iter().sum());
+                Ok((stats.simulated_time, Duration::ZERO))
             }
             _ => {
                 let stats = self.mpc.estimate_op(op, in_rows, in_cols, out_rows)?;

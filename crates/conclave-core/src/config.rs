@@ -17,16 +17,20 @@ pub enum LocalBackend {
 
 /// How the MPC steps of a plan are executed.
 ///
-/// The default [`PartyRuntime::Simulated`] mode runs the single-process
-/// protocol engine (all shares in one struct, modeled network costs) — fast,
-/// and the differential-testing oracle. The distributed modes spawn one
+/// The default [`PartyRuntime::Simulated`] mode runs no protocol: each MPC
+/// step is checked against what the party runtime supports, evaluated in the
+/// clear, and charged the planner's modeled cost (see
+/// [`conclave_mpc::MpcEngine::estimate_job`]). The tests check the
+/// distributed modes against the cleartext oracle, not against this mode.
+/// The distributed modes spawn one
 /// protocol endpoint **per computing party**, each holding only its own
 /// shares and exchanging real messages over a
 /// [`conclave_net::Transport`]; [`crate::report::RunReport::net`] then
 /// carries *measured* per-link bytes and rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartyRuntime {
-    /// Single-process protocol engine with modeled network costs (default).
+    /// Cleartext evaluation of each MPC step under the modeled cost
+    /// (default). Hybrid protocols still run on the in-process protocol.
     #[default]
     Simulated,
     /// One thread per party over an in-process channel mesh.
@@ -115,8 +119,8 @@ pub struct ConclaveConfig {
     pub cluster: ClusterSpec,
     /// MPC backend configuration.
     pub mpc: MpcBackendConfig,
-    /// How MPC plan steps execute: simulated in-process (default) or as a
-    /// real per-party mesh over a transport.
+    /// How MPC plan steps execute: simulated, in the clear under the modeled
+    /// cost (default), or as a real per-party mesh over a transport.
     pub party_runtime: PartyRuntime,
     /// Where the distributed runtime's offline material comes from.
     pub dealer: DealerMode,

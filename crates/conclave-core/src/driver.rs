@@ -24,14 +24,13 @@ use crate::party_exec;
 use crate::plan::PhysicalPlan;
 use crate::report::RunReport;
 use conclave_engine::{
-    execute, sequential_executor, ConversionCounts, EngineError, Executor, Relation, Table,
+    sequential_executor, ConversionCounts, EngineError, Executor, Relation, Table,
 };
 use conclave_ir::dag::NodeId;
 use conclave_ir::error::IrError;
 use conclave_ir::ops::{ExecSite, Operator};
 use conclave_ir::party::PartyId;
-use conclave_mpc::backend::{MpcEngine, MpcError};
-use conclave_mpc::oblivious;
+use conclave_mpc::backend::{MpcEngine, MpcError, MpcStepStats};
 use conclave_parallel::ParallelEngine;
 use std::collections::HashMap;
 use std::fmt;
@@ -434,8 +433,8 @@ impl Driver {
                 }
                 (op, ExecSite::Mpc) => {
                     // In distributed mode only the operators the party
-                    // drivers cannot run (the simulated `Divide` path) reach
-                    // here; everything else was enqueued on the mesh above.
+                    // drivers cannot run (`Divide`) reach here; everything
+                    // else was enqueued on the mesh above.
                     let (table, stats) = self.run_mpc_op(plan, id, op, &input_tables)?;
                     report.mpc_time += stats.simulated_time;
                     report.mpc_stats.merge(&stats);
@@ -620,72 +619,49 @@ impl Driver {
         Ok(false)
     }
 
+    /// Runs one MPC step outside the party mesh — every MPC step in
+    /// [`PartyRuntime::Simulated`](crate::config::PartyRuntime::Simulated)
+    /// mode and `Divide` in every mode — by evaluating it with the sequential
+    /// cleartext executor and charging the modeled cost of a standalone MPC
+    /// job ([`MpcEngine::estimate_job`]). Secret-sharing backends first
+    /// reject what the party runtime would reject
+    /// ([`MpcEngine::check_op`]), so both modes accept the same plans.
     fn run_mpc_op(
-        &mut self,
+        &self,
         plan: &PhysicalPlan,
         id: NodeId,
         op: &Operator,
         inputs: &[&Table],
-    ) -> Result<(Table, conclave_mpc::backend::MpcStepStats), DriverError> {
+    ) -> Result<(Table, MpcStepStats), DriverError> {
         // Division under MPC: Sharemind supports fixed-point division, but our
-        // secret-sharing layer stays integer-only. The result is computed by
-        // the simulator while the cost of an oblivious division protocol
-        // (roughly thirty comparison-equivalents per row) is charged, so the
-        // "whole query under MPC" baselines of Figures 4 and 6 remain runnable.
-        // This holds in every party-runtime mode.
-        if matches!(op, Operator::Divide { .. }) && self.mpc.config().kind.is_secret_sharing() {
-            let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
-            let rel = execute(op, &rows).map_err(DriverError::Engine)?;
-            let n: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
-            let counts = conclave_mpc::cost::PrimitiveCounts {
-                comparisons: 30 * n,
-                input_elems: n,
-                opened_elems: rel.num_rows() as u64,
-                ..Default::default()
-            };
-            let config = self.mpc.config();
-            let stats = conclave_mpc::backend::MpcStepStats {
-                simulated_time: config.ss_cost.time_no_overhead(&counts, &config.network),
-                counts,
-                input_rows: n,
-                output_rows: rel.num_rows() as u64,
-                ..Default::default()
-            };
-            return Ok((Table::from_rows(rel), stats));
+        // secret-sharing layer stays integer-only, so the step is charged as
+        // an oblivious division ([`MpcEngine::estimate_divide`]) and the
+        // result is computed in the clear. This keeps the "whole query under
+        // MPC" baselines of Figures 4 and 6 runnable.
+        let divide =
+            matches!(op, Operator::Divide { .. }) && self.mpc.config().kind.is_secret_sharing();
+        if !divide {
+            self.mpc.check_op(op, inputs)?;
         }
-        let presorted = self.aggregate_is_presorted(plan, id, op)?;
-        // Sort-elimination pay-off: an MPC aggregation whose input is already
-        // sorted by its group-by key skips the oblivious sort (§5.4).
-        if presorted {
-            if let Operator::Aggregate {
-                group_by,
-                func,
-                over,
-                out,
-            } = op
-            {
-                self.mpc.protocol().reset_counts();
-                let shared = self.mpc.share_table(inputs[0])?;
-                let aggregated = oblivious::aggregate_sorted(
-                    &shared,
-                    group_by,
-                    *func,
-                    over.as_deref(),
-                    out,
-                    self.mpc.protocol(),
-                )
-                .map_err(MpcError::Exec)?;
-                let rel = self.mpc.reconstruct(&aggregated);
-                let stats = self
-                    .mpc
-                    .drain_stats(inputs[0].num_rows() as u64, rel.num_rows() as u64);
-                return Ok((Table::from_rows(rel), stats));
-            }
-        }
-        self.mpc
-            .execute_op_tables(op, inputs)
-            .map(|(rel, stats)| (Table::from_rows(rel), stats))
-            .map_err(DriverError::from)
+        let table = self.stp_exec.execute(op, inputs)?;
+        let rows: Vec<u64> = inputs.iter().map(|t| t.num_rows() as u64).collect();
+        let cols: Vec<u64> = inputs.iter().map(|t| t.num_cols() as u64).collect();
+        let n: u64 = rows.iter().sum();
+        let out_rows = table.num_rows() as u64;
+        let op_stats = if divide {
+            self.mpc.estimate_divide(n)
+        } else if self.aggregate_is_presorted(plan, id, op)? {
+            // Sort-elimination pay-off: an MPC aggregation whose input is
+            // already sorted by its group-by key skips the oblivious sort.
+            let width = cols.iter().copied().max().unwrap_or(1);
+            self.mpc.estimate_presorted_aggregate(n, width, out_rows)
+        } else {
+            self.mpc.estimate_op(op, &rows, &cols, out_rows)?
+        };
+        let stats = self
+            .mpc
+            .estimate_job(op_stats, inputs, table.num_rows(), table.num_cols());
+        Ok((table, stats))
     }
 }
 
@@ -926,10 +902,15 @@ mod tests {
         use crate::config::PartyRuntime;
         let query = market_query();
         let inputs = market_inputs();
-        // Oracle: the default simulated in-process path.
+        // Oracle: the default simulated path, which evaluates every MPC step
+        // in the clear.
         let plan = compile(&query, &ConclaveConfig::mpc_only()).unwrap();
         let mut oracle = Driver::new(ConclaveConfig::mpc_only().with_sequential_local());
         let expected = oracle.run(&plan, &inputs).unwrap();
+        assert!(expected
+            .output_for(1)
+            .unwrap()
+            .same_rows_unordered(&expected_market_result()));
         assert!(!expected.net_measured);
         assert_eq!(expected.net.total_bytes(), 0);
         for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {

@@ -401,7 +401,7 @@ mod tests {
             1,
         )
         .unwrap();
-        let mut eng2 = engine();
+        let eng2 = engine();
         let (_, full) = eng2
             .execute_op(
                 &Operator::Join {

@@ -33,10 +33,12 @@
 //! batch-size-dependent only, so the cross-party equality check in step 5
 //! covers them too.
 //!
-//! The in-process [`conclave_mpc::Protocol`] path remains the default and the
-//! differential-testing oracle: a transport-executed plan must reveal
-//! cell-identical results. [`execute_op_distributed`] survives as a
-//! single-step convenience wrapper over the runtime.
+//! The default [`PartyRuntime::Simulated`] mode runs no protocol at all: it
+//! evaluates each MPC step in the clear and charges the planner's modeled
+//! cost. The tests hold this runtime against the cleartext oracle
+//! (`conclave_engine::execute`): a transport-executed plan must reveal the
+//! same cells. [`execute_op_distributed`] survives as a single-step
+//! convenience wrapper over the runtime.
 
 use crate::config::{DealerMode, PartyRuntime};
 use crate::driver::DriverError;
@@ -888,7 +890,10 @@ fn party_to_driver_error(e: PartyError) -> DriverError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use conclave_ir::ops::AggFunc;
+    use conclave_engine::execute;
+    use conclave_ir::expr::Expr;
+    use conclave_ir::ops::{AggFunc, Operand};
+    use conclave_ir::types::Value;
     use conclave_mpc::backend::{MpcBackendConfig, MpcEngine};
 
     fn sales_table() -> Table {
@@ -899,7 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_step_matches_the_inprocess_oracle() {
+    fn channel_step_matches_the_cleartext_oracle() {
         let table = sales_table();
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
@@ -907,8 +912,7 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected, _) = oracle.execute_op(&op, &[table.as_rows()]).unwrap();
+        let expected = execute(&op, &[table.as_rows()]).unwrap();
         let outcome =
             execute_op_distributed(&op, &[&table], 3, 42, PartyRuntime::Channel, false).unwrap();
         assert!(outcome.relation.same_rows_unordered(&expected));
@@ -980,6 +984,54 @@ mod tests {
             execute_op_distributed(&op, &[&table], 3, 1, PartyRuntime::Channel, false),
             Err(DriverError::Mpc(MpcError::Unsupported(_)))
         ));
+    }
+
+    /// The simulated path ([`MpcEngine::execute_op`], which the driver's
+    /// simulated mode runs through the same check) and the channel mesh
+    /// reject the same operators, with the same typed `Unsupported` error.
+    #[test]
+    fn simulated_and_mesh_modes_reject_the_same_operators() {
+        let table = sales_table();
+        let rejected = [
+            Operator::Filter {
+                predicate: Expr::col("price").add(Expr::lit(1)),
+            },
+            Operator::Filter {
+                predicate: Expr::col("price").gt(Expr::lit(Value::Float(1.5))),
+            },
+            Operator::Multiply {
+                out: "x".into(),
+                operands: vec![Operand::col("price"), Operand::lit(Value::Str("a".into()))],
+            },
+            Operator::Aggregate {
+                group_by: vec!["companyID".into(), "price".into()],
+                func: AggFunc::Count,
+                over: None,
+                out: "n".into(),
+            },
+            Operator::Divide {
+                out: "x".into(),
+                num: Operand::col("price"),
+                den: Operand::lit(2),
+            },
+        ];
+        let simulated = MpcEngine::new(MpcBackendConfig::sharemind());
+        for op in &rejected {
+            assert!(
+                matches!(
+                    simulated.execute_op(op, &[table.as_rows()]),
+                    Err(MpcError::Unsupported(_))
+                ),
+                "simulated mode accepted {op:?}"
+            );
+            assert!(
+                matches!(
+                    execute_op_distributed(op, &[&table], 3, 1, PartyRuntime::Channel, false),
+                    Err(DriverError::Mpc(MpcError::Unsupported(_)))
+                ),
+                "channel mode accepted {op:?}"
+            );
+        }
     }
 
     fn run_with_dealer(dealer: &DealerMode) -> (Relation, MeshSummary) {
@@ -1088,8 +1140,7 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected, _) = oracle.execute_op(&op, &[table.as_rows()]).unwrap();
+        let expected = execute(&op, &[table.as_rows()]).unwrap();
         let spec = MaterialSpec {
             triples: 256,
             bit_triples: 512,
@@ -1148,10 +1199,9 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        // Oracle: the same two steps through the in-process engine.
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (sorted, _) = oracle.execute_op(&filter_op, &[table.as_rows()]).unwrap();
-        let (expected, _) = oracle.execute_op(&agg_op, &[&sorted]).unwrap();
+        // Oracle: the same two steps in the clear.
+        let sorted = execute(&filter_op, &[table.as_rows()]).unwrap();
+        let expected = execute(&agg_op, &[&sorted]).unwrap();
 
         let mut rt = PartyMeshRuntime::new(3, 11, PartyRuntime::Channel).unwrap();
         let s0 = rt

@@ -30,23 +30,28 @@ pub struct LeakageEvent {
 pub struct RunReport {
     /// The query output, per recipient party.
     pub outputs: BTreeMap<PartyId, Relation>,
-    /// Simulated local (cleartext) processing time per party; parties work in
-    /// parallel, so the critical path takes the maximum.
+    /// Local (cleartext) processing time per party. **Modeled**: the local
+    /// executor's cost model, not wall clock. Parties work in parallel, so
+    /// the critical path takes the maximum.
     pub local_time: BTreeMap<PartyId, Duration>,
-    /// Simulated time spent in MPC steps (sequential across all parties).
+    /// Time spent in MPC steps (sequential across all parties). **Modeled**
+    /// in every mode: the secret-sharing cost model applied to the steps'
+    /// primitive counts (counted on the mesh in the distributed modes,
+    /// estimated from cardinalities in simulated mode), never wall clock.
     pub mpc_time: Duration,
-    /// Simulated time spent in STP cleartext steps of hybrid protocols.
+    /// Time spent in STP cleartext steps of hybrid protocols. **Modeled**
+    /// by the STP executor's cost model.
     pub stp_time: Duration,
     /// Total data moved between parties, in bytes. Modeled from primitive
     /// counts in simulated mode. When the distributed party runtime executed
     /// the MPC steps, their contribution is the *observed* wire-byte total
-    /// instead — but driver-orchestrated hybrid protocols and the simulated
-    /// division path still contribute modeled bytes, so on plans containing
+    /// instead — but driver-orchestrated hybrid protocols and the division
+    /// path still contribute modeled bytes, so on plans containing
     /// those this total mixes both accountings (the purely-measured portion
     /// is always available as [`RunReport::net`]`.total_bytes()`).
     pub network_bytes: u64,
     /// Per-link traffic of the distributed MPC steps. Empty in simulated
-    /// mode; when [`RunReport::net_measured`] is set, these are **measured**
+    /// mode; when [`RunReport::net_measured`] is true, these are **measured**
     /// per-link byte/message counts and synchronous round totals observed on
     /// the party transports — not cost-model output.
     pub net: NetStats,
@@ -59,7 +64,11 @@ pub struct RunReport {
     /// kept separate from [`RunReport::net`] so offline bytes never blur the
     /// online round/byte accounting the paper's cost model is about.
     pub dealer_net: Option<NetStats>,
-    /// Aggregated MPC statistics (primitive counts, gates, memory).
+    /// Aggregated MPC statistics (primitive counts, gates, memory). In
+    /// simulated mode these are **modeled** (the planner's estimates for each
+    /// step); in the distributed modes the party steps' primitive counts are
+    /// counted on the mesh, while hybrid protocols count on the in-process
+    /// protocol and the division path is modeled.
     pub mpc_stats: MpcStepStats,
     /// Leakage audit log (dynamic: recorded as reveals actually happen).
     pub leakage: Vec<LeakageEvent>,
@@ -68,7 +77,8 @@ pub struct RunReport {
     /// must be covered by a disclosure in here — the differential tests
     /// assert exactly that.
     pub static_leakage: Option<LeakageReport>,
-    /// Per-node simulated runtimes, for detailed breakdowns.
+    /// Per-node runtimes, for detailed breakdowns. **Modeled**, like
+    /// [`RunReport::mpc_time`] and [`RunReport::local_time`].
     pub per_node: Vec<(usize, ExecSite, Duration)>,
     /// Row↔columnar conversions the run's data plane performed. With the
     /// unified `Table` representation, a columnar-mode driven query should

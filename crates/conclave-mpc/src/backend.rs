@@ -1,23 +1,23 @@
 //! Unified MPC backend engine.
 //!
-//! [`MpcEngine`] executes individual relational operators under a configured
-//! backend — secret sharing (Sharemind-like) or garbled circuits (Obliv-C /
-//! ObliVM-like) — over cleartext inputs, returning the result together with
-//! [`MpcStepStats`] (simulated runtime, primitive/gate counts, traffic and
-//! memory). It also provides *analytic estimators* that produce the same
-//! statistics from cardinalities alone, which the benchmark harness uses to
-//! reproduce the paper's figures at scales that cannot be executed in-process
-//! (up to 10⁹ records).
+//! [`MpcEngine`] models relational operators under a configured backend —
+//! secret sharing (Sharemind-like) or garbled circuits (Obliv-C /
+//! ObliVM-like). Its *analytic estimators* ([`MpcEngine::estimate_op`] and
+//! friends) turn cardinalities into [`MpcStepStats`] (modeled runtime,
+//! primitive/gate counts, traffic and memory); the planner, the benchmark
+//! harness (the paper's figures, up to 10⁹ records) and simulated execution
+//! all charge these same numbers. [`MpcEngine::execute_op`] evaluates one
+//! operator in the clear and charges it that modeled cost. The secret-shared
+//! evaluation of the operators is the party runtime's ([`crate::runtime`]);
+//! the in-process [`Protocol`] here serves only the hybrid protocols of
+//! §5.3.
 
 use crate::cost::{GarbledCostModel, PrimitiveCounts, SecretShareCostModel};
 use crate::garbled::{gates, CircuitStats};
-use crate::oblivious;
 use crate::protocol::Protocol;
 use crate::relation::SharedRelation;
-use crate::share::Shares;
-use conclave_engine::Relation;
-use conclave_ir::expr::{BinOp, Expr};
-use conclave_ir::ops::{Operand, Operator};
+use conclave_engine::{Relation, Table};
+use conclave_ir::ops::Operator;
 use conclave_net::NetworkModel;
 use std::fmt;
 use std::time::Duration;
@@ -179,7 +179,7 @@ impl std::error::Error for MpcError {}
 /// Result alias for MPC operations.
 pub type MpcResult<T> = Result<T, MpcError>;
 
-/// Executes relational operators under a simulated MPC backend.
+/// Models relational operators under an MPC backend.
 #[derive(Debug)]
 pub struct MpcEngine {
     config: MpcBackendConfig,
@@ -204,24 +204,10 @@ impl MpcEngine {
         &mut self.proto
     }
 
-    /// Secret-shares a cleartext relation into the engine.
-    pub fn share(&mut self, rel: &Relation) -> MpcResult<SharedRelation> {
-        SharedRelation::from_relation(rel, &mut self.proto).map_err(MpcError::Exec)
-    }
-
-    /// Secret-shares a columnar relation into the engine, column-at-a-time
-    /// (used by the driver when the vectorized cleartext engine is active).
-    pub fn share_columnar(
-        &mut self,
-        rel: &conclave_engine::ColumnarRelation,
-    ) -> MpcResult<SharedRelation> {
-        SharedRelation::from_columnar(rel, &mut self.proto).map_err(MpcError::Exec)
-    }
-
     /// Secret-shares a [`conclave_engine::Table`], picking the
     /// column-at-a-time path whenever its columnar representation is already
     /// materialized (see [`SharedRelation::from_table`]).
-    pub fn share_table(&mut self, table: &conclave_engine::Table) -> MpcResult<SharedRelation> {
+    pub fn share_table(&mut self, table: &Table) -> MpcResult<SharedRelation> {
         SharedRelation::from_table(table, &mut self.proto).map_err(MpcError::Exec)
     }
 
@@ -235,330 +221,75 @@ impl MpcEngine {
     pub fn drain_stats(&mut self, input_rows: u64, output_rows: u64) -> MpcStepStats {
         let counts = self.proto.counts();
         self.proto.reset_counts();
-        MpcStepStats {
-            simulated_time: self
-                .config
-                .ss_cost
-                .time_no_overhead(&counts, &self.config.network),
-            counts,
-            circuit: CircuitStats::default(),
-            memory_bytes: 0.0,
-            input_rows,
-            output_rows,
-        }
+        self.stats_from_counts(counts, input_rows, output_rows)
     }
 
-    /// Executes one operator on cleartext inputs: shares them, runs the
-    /// oblivious protocol, reconstructs the result, and reports statistics
-    /// (including the sharing/opening cost, as a standalone MPC job would pay).
+    /// Executes one operator as a standalone MPC job: checks that the backend
+    /// can run it ([`MpcEngine::check_op`]), evaluates it in the clear, and
+    /// charges the modeled cost of the job ([`MpcEngine::estimate_job`]). The
+    /// secret-shared evaluation itself is the party runtime's
+    /// ([`crate::runtime::execute_party_op`]); this is the simulated
+    /// counterpart, with the same result and the planner's cost.
     pub fn execute_op(
-        &mut self,
+        &self,
         op: &Operator,
         inputs: &[&Relation],
     ) -> MpcResult<(Relation, MpcStepStats)> {
-        let input_rows: u64 = inputs.iter().map(|r| r.num_rows() as u64).sum();
-        match self.config.kind {
-            BackendKind::SharemindLike => {
-                self.proto.reset_counts();
-                let shared_inputs: Vec<SharedRelation> = inputs
-                    .iter()
-                    .map(|r| self.share(r))
-                    .collect::<MpcResult<_>>()?;
-                self.execute_and_open(op, shared_inputs, input_rows)
-            }
-            BackendKind::OblivCLike | BackendKind::OblivVmLike => {
-                self.execute_garbled(op, inputs, input_rows)
-            }
-        }
-    }
-
-    /// [`MpcEngine::execute_op`] over the unified [`conclave_engine::Table`]
-    /// data plane. Secret-sharing backends share each input in whatever
-    /// representation it already holds (columnar tables go column-at-a-time
-    /// with no conversion); garbled backends materialize rows, which is the
-    /// unavoidable share boundary for that substrate.
-    pub fn execute_op_tables(
-        &mut self,
-        op: &Operator,
-        inputs: &[&conclave_engine::Table],
-    ) -> MpcResult<(Relation, MpcStepStats)> {
-        let input_rows: u64 = inputs.iter().map(|t| t.num_rows() as u64).sum();
-        match self.config.kind {
-            BackendKind::SharemindLike => {
-                self.proto.reset_counts();
-                let shared_inputs: Vec<SharedRelation> = inputs
-                    .iter()
-                    .map(|t| self.share_table(t))
-                    .collect::<MpcResult<_>>()?;
-                self.execute_and_open(op, shared_inputs, input_rows)
-            }
-            BackendKind::OblivCLike | BackendKind::OblivVmLike => {
-                let rows: Vec<&Relation> = inputs.iter().map(|t| t.as_rows()).collect();
-                self.execute_garbled(op, &rows, input_rows)
-            }
-        }
-    }
-
-    /// Shared tail of the secret-sharing execution paths: run the oblivious
-    /// protocol over already-shared inputs, open the result and charge the
-    /// standalone-job overhead.
-    fn execute_and_open(
-        &mut self,
-        op: &Operator,
-        shared_inputs: Vec<SharedRelation>,
-        input_rows: u64,
-    ) -> MpcResult<(Relation, MpcStepStats)> {
-        let refs: Vec<&SharedRelation> = shared_inputs.iter().collect();
-        let shared_out = self.execute_shared(op, &refs)?;
-        let out = self.reconstruct(&shared_out);
-        let mut stats = self.drain_stats(input_rows, out.num_rows() as u64);
-        stats.simulated_time += Duration::from_secs_f64(self.config.ss_cost.job_overhead);
-        Ok((out, stats))
-    }
-
-    /// Executes one operator over already-shared relations (secret-sharing
-    /// backends only). Statistics accumulate in the protocol counters; call
-    /// [`MpcEngine::drain_stats`] to collect them.
-    pub fn execute_shared(
-        &mut self,
-        op: &Operator,
-        inputs: &[&SharedRelation],
-    ) -> MpcResult<SharedRelation> {
-        if !self.config.kind.is_secret_sharing() {
-            return Err(MpcError::Unsupported(
-                "execute_shared requires a secret-sharing backend".into(),
-            ));
-        }
-        let need = |n: usize| -> MpcResult<()> {
-            if inputs.len() == n {
-                Ok(())
-            } else {
-                Err(MpcError::Exec(format!(
-                    "{} expects {n} inputs, got {}",
-                    op.name(),
-                    inputs.len()
-                )))
-            }
-        };
-        let proto = &mut self.proto;
-        match op {
-            Operator::Project { columns } => {
-                need(1)?;
-                inputs[0].project(columns).map_err(MpcError::Exec)
-            }
-            Operator::Concat => {
-                let parts: Vec<SharedRelation> = inputs.iter().map(|r| (*r).clone()).collect();
-                SharedRelation::concat(&parts).map_err(MpcError::Exec)
-            }
-            Operator::Filter { predicate } => {
-                need(1)?;
-                oblivious_filter(inputs[0], predicate, proto)
-            }
-            Operator::Join {
-                left_keys,
-                right_keys,
-                ..
-            } => {
-                need(2)?;
-                oblivious::cartesian_join(inputs[0], inputs[1], left_keys, right_keys, proto)
-                    .map_err(MpcError::Exec)
-            }
-            Operator::Aggregate {
-                group_by,
-                func,
-                over,
-                out,
-            } => {
-                need(1)?;
-                if group_by.len() > 1 {
-                    return Err(MpcError::Unsupported(
-                        "multi-column group-by under MPC".into(),
-                    ));
-                }
-                let sorted = if let Some(key) = group_by.first() {
-                    oblivious::sort_by(inputs[0], key, true, proto).map_err(MpcError::Exec)?
-                } else {
-                    inputs[0].clone()
-                };
-                oblivious::aggregate_sorted(&sorted, group_by, *func, over.as_deref(), out, proto)
-                    .map_err(MpcError::Exec)
-            }
-            Operator::Multiply { out, operands } => {
-                need(1)?;
-                mpc_multiply(inputs[0], out, operands, proto)
-            }
-            Operator::SortBy { column, ascending } => {
-                need(1)?;
-                oblivious::sort_by(inputs[0], column, *ascending, proto).map_err(MpcError::Exec)
-            }
-            Operator::Merge { column, ascending } => {
-                let parts: Vec<SharedRelation> = inputs.iter().map(|r| (*r).clone()).collect();
-                oblivious::merge_sorted(&parts, column, *ascending, proto).map_err(MpcError::Exec)
-            }
-            Operator::Limit { n } => {
-                need(1)?;
-                let mut rel = inputs[0].clone();
-                rel.rows.truncate(*n);
-                Ok(rel)
-            }
-            Operator::Shuffle => {
-                need(1)?;
-                Ok(oblivious::shuffle(inputs[0], proto))
-            }
-            Operator::Enumerate { out } => {
-                need(1)?;
-                let mut schema = inputs[0].schema.clone();
-                schema
-                    .push(conclave_ir::schema::ColumnDef::new(
-                        out,
-                        conclave_ir::types::DataType::Int,
-                    ))
-                    .map_err(|e| MpcError::Exec(e.to_string()))?;
-                let rows = inputs[0]
-                    .rows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| {
-                        let mut row = r.clone();
-                        row.push(proto.constant(i as i64));
-                        row
-                    })
-                    .collect();
-                Ok(SharedRelation { schema, rows })
-            }
-            Operator::ObliviousSelect { index_column } => {
-                need(2)?;
-                oblivious::oblivious_select(inputs[0], inputs[1], index_column, proto)
-                    .map_err(MpcError::Exec)
-            }
-            Operator::Distinct { columns } => {
-                need(1)?;
-                let proj = inputs[0].project(columns).map_err(MpcError::Exec)?;
-                let key = columns
-                    .first()
-                    .ok_or_else(|| MpcError::Exec("distinct needs columns".into()))?;
-                let sorted = oblivious::sort_by(&proj, key, true, proto).map_err(MpcError::Exec)?;
-                distinct_sorted(&sorted, proto)
-            }
-            Operator::DistinctCount { column, out } => {
-                need(1)?;
-                let proj = inputs[0]
-                    .project(std::slice::from_ref(column))
-                    .map_err(MpcError::Exec)?;
-                let sorted =
-                    oblivious::sort_by(&proj, column, true, proto).map_err(MpcError::Exec)?;
-                let distinct = distinct_sorted(&sorted, proto)?;
-                let n = distinct.num_rows() as i64;
-                let schema =
-                    conclave_ir::schema::Schema::new(vec![conclave_ir::schema::ColumnDef::new(
-                        out,
-                        conclave_ir::types::DataType::Int,
-                    )]);
-                Ok(SharedRelation {
-                    schema,
-                    rows: vec![vec![proto.constant(n)]],
-                })
-            }
-            Operator::RevealTo { .. }
-            | Operator::Open { .. }
-            | Operator::CloseTo
-            | Operator::Collect { .. } => {
-                need(1)?;
-                Ok(inputs[0].clone())
-            }
-            Operator::Divide { .. } => Err(MpcError::Unsupported(
-                "division under MPC; Conclave pushes divisions out of the MPC frontier".into(),
-            )),
-            Operator::Input { .. } => Err(MpcError::Unsupported("input binding".into())),
-            Operator::HybridJoin { .. }
-            | Operator::PublicJoin { .. }
-            | Operator::HybridAggregate { .. } => Err(MpcError::Unsupported(format!(
-                "{} is a multi-site protocol orchestrated by the driver",
-                op.name()
-            ))),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Garbled-circuit execution (gate counting + memory model).
-    // ------------------------------------------------------------------
-
-    fn execute_garbled(
-        &mut self,
-        op: &Operator,
-        inputs: &[&Relation],
-        input_rows: u64,
-    ) -> MpcResult<(Relation, MpcStepStats)> {
-        let cols: u64 = inputs
+        let tables: Vec<Table> = inputs
             .iter()
-            .map(|r| r.num_cols() as u64)
-            .max()
-            .unwrap_or(1);
-        let (and_gates, memory) = self.garbled_cost_of(op, inputs)?;
-        if self.config.gc_cost.exceeds_memory(memory) {
-            return Err(MpcError::OutOfMemory {
-                needed: memory,
-                limit: self.config.gc_cost.memory_limit_bytes,
-            });
-        }
+            .map(|r| Table::from_rows((*r).clone()))
+            .collect();
+        let tables: Vec<&Table> = tables.iter().collect();
+        self.check_op(op, &tables)?;
         let out =
             conclave_engine::execute(op, inputs).map_err(|e| MpcError::Exec(e.to_string()))?;
-        let circuit = CircuitStats {
-            and_gates,
-            xor_gates: and_gates * 2,
-            input_wires: input_rows * cols * 64,
-            output_wires: out.num_rows() as u64 * out.num_cols() as u64 * 64,
-        };
-        let stats = MpcStepStats {
-            simulated_time: self.config.gc_cost.time(and_gates, &self.config.network),
-            counts: PrimitiveCounts::default(),
-            circuit,
-            memory_bytes: memory,
-            input_rows,
-            output_rows: out.num_rows() as u64,
-        };
+        let (rows, cols) = shapes(&tables);
+        let op_stats = self.estimate_op(op, &rows, &cols, out.num_rows() as u64)?;
+        let stats = self.estimate_job(op_stats, &tables, out.num_rows(), out.num_cols());
         Ok((out, stats))
     }
 
-    /// Gate count and memory footprint of an operator under garbled circuits.
-    fn garbled_cost_of(&self, op: &Operator, inputs: &[&Relation]) -> MpcResult<(u64, f64)> {
-        let rows: Vec<u64> = inputs.iter().map(|r| r.num_rows() as u64).collect();
-        let widths: Vec<u64> = inputs.iter().map(|r| r.num_cols() as u64).collect();
-        let total_rows: u64 = rows.iter().sum();
-        let per_record = self.config.gc_cost.state_bytes_per_record;
-        Ok(match op {
-            Operator::Join { left_keys, .. } => {
-                let n = rows.first().copied().unwrap_or(0);
-                let m = rows.get(1).copied().unwrap_or(0);
-                let w = widths.iter().sum::<u64>();
-                (
-                    gates::join(n, m, left_keys.len() as u64, w),
-                    total_rows as f64 * per_record * 10.0,
-                )
-            }
-            Operator::Aggregate { group_by, .. } => (
-                gates::aggregate(total_rows, group_by.len() as u64),
-                total_rows as f64 * per_record * 3.0,
-            ),
-            Operator::Distinct { .. }
-            | Operator::DistinctCount { .. }
-            | Operator::SortBy { .. } => (
-                gates::distinct(total_rows),
-                total_rows as f64 * per_record * 3.0,
-            ),
-            Operator::Filter { predicate } => (
-                total_rows * predicate.op_count() as u64 * 64,
-                total_rows as f64 * per_record,
-            ),
-            Operator::Multiply { operands, .. } => (
-                total_rows * operands.len().saturating_sub(1) as u64 * 64 * 64,
-                total_rows as f64 * per_record,
-            ),
-            _ => (
-                gates::project(total_rows, widths.iter().copied().max().unwrap_or(1)),
-                total_rows as f64 * per_record,
-            ),
-        })
+    /// Rejects, before any evaluation, what the configured backend cannot
+    /// run on these inputs. Secret-sharing backends accept exactly what the
+    /// party runtime accepts: the operator must pass
+    /// [`crate::runtime::check_supported`] and every input cell must be
+    /// shareable (an integer-encodable, non-NULL value). Garbled-circuit
+    /// backends evaluate any operator.
+    pub fn check_op(&self, op: &Operator, inputs: &[&Table]) -> MpcResult<()> {
+        if !self.config.kind.is_secret_sharing() {
+            return Ok(());
+        }
+        crate::runtime::check_supported(op).map_err(MpcError::Unsupported)?;
+        inputs.iter().try_for_each(|t| check_shareable(t))
+    }
+
+    /// Wraps one operator's modeled cost (`op_stats`, from
+    /// [`MpcEngine::estimate_op`] or a specialised estimator) into the cost of
+    /// a standalone MPC job over `inputs` with a result of `output_rows` ×
+    /// `output_cols`. Secret-sharing backends add sharing every input cell,
+    /// opening every result cell and the fixed job overhead; garbled-circuit
+    /// estimates already carry their input and output wires and the job
+    /// overhead, and are returned unchanged.
+    pub fn estimate_job(
+        &self,
+        op_stats: MpcStepStats,
+        inputs: &[&Table],
+        output_rows: usize,
+        output_cols: usize,
+    ) -> MpcStepStats {
+        if !self.config.kind.is_secret_sharing() {
+            return op_stats;
+        }
+        let (rows, cols) = shapes(inputs);
+        let mut counts = op_stats.counts;
+        counts.merge(&PrimitiveCounts {
+            input_elems: rows.iter().zip(&cols).map(|(r, c)| r * c).sum(),
+            opened_elems: (output_rows * output_cols) as u64,
+            ..Default::default()
+        });
+        let mut stats = self.stats_from_counts(counts, rows.iter().sum(), output_rows as u64);
+        stats.simulated_time += Duration::from_secs_f64(self.config.ss_cost.job_overhead);
+        stats
     }
 
     // ------------------------------------------------------------------
@@ -612,13 +343,7 @@ impl MpcEngine {
                         if group_by.is_empty() {
                             c = PrimitiveCounts::default();
                         }
-                        c.merge(&PrimitiveCounts {
-                            equalities: n,
-                            mults: 2 * n,
-                            shuffled_elems: n * (cols + 1),
-                            opened_elems: n,
-                            ..Default::default()
-                        });
+                        c.merge(&aggregate_scan_counts(n, cols));
                         c
                     }
                     Operator::SortBy { .. }
@@ -733,6 +458,31 @@ impl MpcEngine {
         }
     }
 
+    /// Estimates a grouped aggregation whose input is already sorted by its
+    /// group-by key: the §5.4 sort-elimination pay-off skips the oblivious
+    /// sort and pays only the accumulation scan.
+    pub fn estimate_presorted_aggregate(
+        &self,
+        n: u64,
+        cols: u64,
+        output_rows: u64,
+    ) -> MpcStepStats {
+        self.stats_from_counts(aggregate_scan_counts(n, cols), n, output_rows)
+    }
+
+    /// Estimates a division over `n` rows. The secret-sharing layer is
+    /// integer-only, so a division is charged as an oblivious fixed-point
+    /// division (about thirty comparison-equivalents per row) while its
+    /// result is computed in the clear; this keeps the paper's "whole query
+    /// under MPC" baselines (Figures 4 and 6) runnable.
+    pub fn estimate_divide(&self, n: u64) -> MpcStepStats {
+        let counts = PrimitiveCounts {
+            comparisons: 30 * n,
+            ..Default::default()
+        };
+        self.stats_from_counts(counts, n, n)
+    }
+
     /// Estimates the MPC-side cost of the hybrid join protocol of §5.3
     /// (Figure 3): oblivious shuffles of both inputs, revealing the key
     /// columns to the STP, secret-sharing the index relations back, two
@@ -826,225 +576,73 @@ fn log2(n: u64) -> u64 {
     64 - n.max(2).leading_zeros() as u64
 }
 
-/// Evaluates a (restricted) predicate over a shared row, producing a shared
-/// 0/1 bit. Supported forms: comparisons between columns and integer
-/// literals, and boolean combinations thereof.
-fn eval_predicate_shared(
-    expr: &Expr,
-    rel: &SharedRelation,
-    row: &[Shares],
-    proto: &mut Protocol,
-) -> MpcResult<Shares> {
-    match expr {
-        Expr::Bin { op, left, right } => {
-            match op {
-                BinOp::And | BinOp::Or => {
-                    let l = eval_predicate_shared(left, rel, row, proto)?;
-                    let r = eval_predicate_shared(right, rel, row, proto)?;
-                    let prod = proto.mul(&l, &r);
-                    if *op == BinOp::And {
-                        Ok(prod)
-                    } else {
-                        // a OR b = a + b - a·b
-                        let sum = proto.add(&l, &r);
-                        Ok(proto.sub(&sum, &prod))
-                    }
-                }
-                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                    let l = operand_shares(left, rel, row, proto)?;
-                    let r = operand_shares(right, rel, row, proto)?;
-                    let result = match op {
-                        BinOp::Eq => proto.eq(&l, &r),
-                        BinOp::Ne => {
-                            let e = proto.eq(&l, &r);
-                            let one = proto.constant(1);
-                            proto.sub(&one, &e)
-                        }
-                        BinOp::Lt => proto.lt(&l, &r),
-                        BinOp::Gt => proto.lt(&r, &l),
-                        BinOp::Le => {
-                            let gt = proto.lt(&r, &l);
-                            let one = proto.constant(1);
-                            proto.sub(&one, &gt)
-                        }
-                        BinOp::Ge => {
-                            let lt = proto.lt(&l, &r);
-                            let one = proto.constant(1);
-                            proto.sub(&one, &lt)
-                        }
-                        _ => unreachable!(),
-                    };
-                    Ok(result)
-                }
-                _ => Err(MpcError::Unsupported(format!(
-                    "arithmetic operator {op} in an MPC filter predicate"
-                ))),
-            }
-        }
-        Expr::Not(inner) => {
-            let b = eval_predicate_shared(inner, rel, row, proto)?;
-            let one = proto.constant(1);
-            Ok(proto.sub(&one, &b))
-        }
-        other => Err(MpcError::Unsupported(format!(
-            "predicate form `{other}` under MPC"
-        ))),
+/// Primitive counts of the sorting aggregation's accumulation scan over `n`
+/// key-sorted rows: one equality and two multiplexers per row, then a
+/// shuffle-and-open of the group-boundary flags.
+fn aggregate_scan_counts(n: u64, cols: u64) -> PrimitiveCounts {
+    PrimitiveCounts {
+        equalities: n,
+        mults: 2 * n,
+        shuffled_elems: n * (cols + 1),
+        opened_elems: n,
+        ..Default::default()
     }
 }
 
-fn operand_shares(
-    expr: &Expr,
-    rel: &SharedRelation,
-    row: &[Shares],
-    proto: &mut Protocol,
-) -> MpcResult<Shares> {
-    match expr {
-        Expr::Col(name) => {
-            let idx = rel
-                .col_index(name)
-                .ok_or_else(|| MpcError::Exec(format!("unknown column `{name}`")))?;
-            Ok(row[idx].clone())
-        }
-        Expr::Const(v) => {
-            let i = v
-                .as_int()
-                .ok_or_else(|| MpcError::Unsupported("non-integer literal under MPC".into()))?;
-            Ok(proto.constant(i))
-        }
-        other => Err(MpcError::Unsupported(format!(
-            "operand form `{other}` under MPC"
-        ))),
-    }
+/// Row and column counts of each table.
+fn shapes(tables: &[&Table]) -> (Vec<u64>, Vec<u64>) {
+    tables
+        .iter()
+        .map(|t| (t.num_rows() as u64, t.num_cols() as u64))
+        .unzip()
 }
 
-/// Oblivious filter: computes the predicate bit per row, shuffles, reveals
-/// the bits and keeps the selected rows (leaking only the output size, like
-/// the paper's non-padded operators).
-fn oblivious_filter(
-    rel: &SharedRelation,
-    predicate: &Expr,
-    proto: &mut Protocol,
-) -> MpcResult<SharedRelation> {
-    let mut flagged_rows = Vec::with_capacity(rel.num_rows());
-    for row in &rel.rows {
-        let flag = eval_predicate_shared(predicate, rel, row, proto)?;
-        let mut r = row.clone();
-        r.push(flag);
-        flagged_rows.push(r);
+/// Checks that a table can be secret-shared: every column has an
+/// integer-encodable type and every cell an integer value, the same rule the
+/// party runtime's `share_relation` applies.
+fn check_shareable(table: &Table) -> MpcResult<()> {
+    if let Some(col) = table
+        .schema()
+        .columns
+        .iter()
+        .find(|c| !c.dtype.mpc_compatible())
+    {
+        return Err(MpcError::Exec(format!(
+            "column `{}` has type {} which cannot be secret-shared",
+            col.name, col.dtype
+        )));
     }
-    let mut schema = rel.schema.clone();
-    schema
-        .push(conclave_ir::schema::ColumnDef::new(
-            "__filter_flag",
-            conclave_ir::types::DataType::Int,
-        ))
-        .map_err(|e| MpcError::Exec(e.to_string()))?;
-    let flagged = SharedRelation {
-        schema,
-        rows: flagged_rows,
+    let bad = if table.has_columns() {
+        let rel = table.as_columns();
+        rel.columns()
+            .iter()
+            .enumerate()
+            .filter(|(_, col)| col.as_ints().is_none())
+            .flat_map(|(c, _)| (0..rel.num_rows()).map(move |i| rel.value(i, c)))
+            .find(|v| v.as_int().is_none())
+    } else {
+        table
+            .as_rows()
+            .rows
+            .iter()
+            .flatten()
+            .find(|v| v.as_int().is_none())
+            .cloned()
     };
-    let shuffled = oblivious::shuffle(&flagged, proto);
-    let mut rows = Vec::new();
-    for row in shuffled.rows {
-        let flag = row.last().expect("flag present").clone();
-        if proto.open(&flag) == 1 {
-            rows.push(row[..row.len() - 1].to_vec());
-        }
+    match bad {
+        Some(v) => Err(MpcError::Exec(format!(
+            "cannot share non-integer value {v}"
+        ))),
+        None => Ok(()),
     }
-    Ok(SharedRelation {
-        schema: rel.schema.clone(),
-        rows,
-    })
-}
-
-/// Column arithmetic under MPC: multiplies operand columns/literals into `out`.
-fn mpc_multiply(
-    rel: &SharedRelation,
-    out: &str,
-    operands: &[Operand],
-    proto: &mut Protocol,
-) -> MpcResult<SharedRelation> {
-    let replace = rel.col_index(out);
-    let mut schema = rel.schema.clone();
-    if replace.is_none() {
-        schema
-            .push(conclave_ir::schema::ColumnDef::new(
-                out,
-                conclave_ir::types::DataType::Int,
-            ))
-            .map_err(|e| MpcError::Exec(e.to_string()))?;
-    }
-    let mut rows = Vec::with_capacity(rel.num_rows());
-    for row in &rel.rows {
-        let mut acc = proto.constant(1);
-        let mut first = true;
-        for o in operands {
-            match o {
-                Operand::Col(c) => {
-                    let idx = rel
-                        .col_index(c)
-                        .ok_or_else(|| MpcError::Exec(format!("unknown column `{c}`")))?;
-                    if first {
-                        acc = row[idx].clone();
-                        first = false;
-                    } else {
-                        acc = proto.mul(&acc, &row[idx]);
-                    }
-                }
-                Operand::Lit(v) => {
-                    let i = v.as_int().ok_or_else(|| {
-                        MpcError::Unsupported("non-integer literal under MPC".into())
-                    })?;
-                    acc = proto.mul_public(&acc, i);
-                    first = false;
-                }
-            }
-        }
-        let mut new_row = row.clone();
-        match replace {
-            Some(i) => new_row[i] = acc,
-            None => new_row.push(acc),
-        }
-        rows.push(new_row);
-    }
-    Ok(SharedRelation { schema, rows })
-}
-
-/// Removes duplicate adjacent rows (over all columns) from a key-sorted
-/// relation, the core of the MPC `distinct` operator.
-fn distinct_sorted(rel: &SharedRelation, proto: &mut Protocol) -> MpcResult<SharedRelation> {
-    if rel.num_rows() == 0 {
-        return Ok(rel.clone());
-    }
-    let mut keep_flags: Vec<Shares> = Vec::with_capacity(rel.num_rows());
-    keep_flags.push(proto.constant(1));
-    for i in 1..rel.num_rows() {
-        // keep = 1 - all-columns-equal(previous, current)
-        let mut all_eq = proto.constant(1);
-        for c in 0..rel.num_cols() {
-            let e = proto.eq(&rel.rows[i][c], &rel.rows[i - 1][c]);
-            all_eq = proto.mul(&all_eq, &e);
-        }
-        let one = proto.constant(1);
-        keep_flags.push(proto.sub(&one, &all_eq));
-    }
-    let mut rows = Vec::new();
-    for (i, row) in rel.rows.iter().enumerate() {
-        if proto.open(&keep_flags[i]) == 1 {
-            rows.push(row.clone());
-        }
-    }
-    Ok(SharedRelation {
-        schema: rel.schema.clone(),
-        rows,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use conclave_engine::execute;
-    use conclave_ir::ops::{AggFunc, JoinKind};
+    use conclave_ir::expr::Expr;
+    use conclave_ir::ops::{AggFunc, JoinKind, Operand};
 
     fn sharemind() -> MpcEngine {
         MpcEngine::new(MpcBackendConfig::sharemind())
@@ -1068,7 +666,7 @@ mod tests {
 
     #[test]
     fn sharemind_aggregate_matches_cleartext() {
-        let mut eng = sharemind();
+        let eng = sharemind();
         let rel = sales();
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
@@ -1090,7 +688,7 @@ mod tests {
 
     #[test]
     fn sharemind_join_matches_cleartext_and_counts_quadratic_equalities() {
-        let mut eng = sharemind();
+        let eng = sharemind();
         let left = Relation::from_ints(&["k", "a"], &[vec![1, 1], vec![2, 2], vec![3, 3]]);
         let right = Relation::from_ints(&["k", "b"], &[vec![2, 20], vec![3, 30], vec![4, 40]]);
         let op = Operator::Join {
@@ -1106,7 +704,7 @@ mod tests {
 
     #[test]
     fn sharemind_filter_multiply_sort_limit() {
-        let mut eng = sharemind();
+        let eng = sharemind();
         let rel = sales();
         let filter = Operator::Filter {
             predicate: Expr::col("price").gt(Expr::lit(6)),
@@ -1142,7 +740,7 @@ mod tests {
 
     #[test]
     fn sharemind_distinct_and_distinct_count() {
-        let mut eng = sharemind();
+        let eng = sharemind();
         let rel = sales();
         let d = Operator::Distinct {
             columns: vec!["companyID".into()],
@@ -1159,7 +757,7 @@ mod tests {
 
     #[test]
     fn complex_predicates_under_mpc() {
-        let mut eng = sharemind();
+        let eng = sharemind();
         let rel = sales();
         let pred = Expr::col("price")
             .ge(Expr::lit(5))
@@ -1183,7 +781,7 @@ mod tests {
 
     #[test]
     fn unsupported_operators() {
-        let mut eng = sharemind();
+        let eng = sharemind();
         let rel = sales();
         assert!(matches!(
             eng.execute_op(
@@ -1221,7 +819,8 @@ mod tests {
     }
 
     #[test]
-    fn execute_op_tables_matches_execute_op_and_avoids_conversions() {
+    fn execute_op_charges_the_modeled_standalone_job() {
+        let eng = sharemind();
         let rel = sales();
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
@@ -1229,28 +828,66 @@ mod tests {
             over: Some("price".into()),
             out: "rev".into(),
         };
-        let mut eng = sharemind();
-        let (expected, row_stats) = eng.execute_op(&op, &[&rel]).unwrap();
-        // Columnar-backed table: shared column-at-a-time, zero conversions.
-        let mut eng2 = sharemind();
-        let table = conclave_engine::Table::from_columns(
-            conclave_engine::ColumnarRelation::from_rows(&rel),
+        let (out, stats) = eng.execute_op(&op, &[&rel]).unwrap();
+        let modeled = eng.estimate_op(&op, &[5], &[2], 3).unwrap();
+        // The job = share 5×2 input cells + the operator + open 3×2 result
+        // cells + the fixed overhead.
+        let mut expected = modeled.counts;
+        expected.merge(&PrimitiveCounts {
+            input_elems: 10,
+            opened_elems: 6,
+            ..Default::default()
+        });
+        assert_eq!(out.num_rows(), 3);
+        assert_eq!(stats.counts, expected);
+        let overhead = Duration::from_secs_f64(eng.config().ss_cost.job_overhead);
+        assert_eq!(
+            stats.simulated_time,
+            eng.stats_from_counts(expected, 5, 3).simulated_time + overhead
         );
-        let (out, stats) = eng2.execute_op_tables(&op, &[&table]).unwrap();
-        assert!(out.same_rows_unordered(&expected));
-        assert_eq!(table.conversion_counts().total(), 0);
-        assert_eq!(stats.counts.input_elems, row_stats.counts.input_elems);
-        // Garbled backends take the row path through the same entry point.
-        let mut gc = MpcEngine::new(MpcBackendConfig::obliv_c());
-        let rows_table = conclave_engine::Table::from_rows(rel.clone());
-        let (gc_out, gc_stats) = gc.execute_op_tables(&op, &[&rows_table]).unwrap();
-        assert!(gc_out.same_rows_unordered(&expected));
-        assert!(gc_stats.circuit.and_gates > 0);
+        // A presorted aggregation skips the sort: the scan alone is cheaper.
+        let presorted = eng.estimate_presorted_aggregate(5, 2, 3);
+        assert_eq!(presorted.counts.comparisons, 0);
+        assert!(presorted.simulated_time < modeled.simulated_time);
+        assert_eq!(eng.estimate_divide(4).counts.comparisons, 120);
+    }
+
+    #[test]
+    fn unshareable_inputs_are_rejected_like_the_party_runtime() {
+        let eng = sharemind();
+        let op = Operator::Shuffle;
+        let floats = Relation::new(
+            conclave_ir::schema::Schema::new(vec![conclave_ir::schema::ColumnDef::new(
+                "x",
+                conclave_ir::types::DataType::Float,
+            )]),
+            vec![vec![conclave_ir::types::Value::Float(1.5)]],
+        )
+        .unwrap();
+        let nulls = Relation::new(
+            conclave_ir::schema::Schema::ints(&["x"]),
+            vec![vec![conclave_ir::types::Value::Null]],
+        )
+        .unwrap();
+        for rel in [&floats, &nulls] {
+            assert!(matches!(
+                eng.execute_op(&op, &[rel]),
+                Err(MpcError::Exec(_))
+            ));
+            let columnar = Table::from_columns(conclave_engine::ColumnarRelation::from_rows(rel));
+            assert!(matches!(
+                eng.check_op(&op, &[&columnar]),
+                Err(MpcError::Exec(_))
+            ));
+        }
+        // Garbled circuits evaluate any cleartext value.
+        let gc = MpcEngine::new(MpcBackendConfig::obliv_c());
+        assert!(gc.execute_op(&op, &[&floats]).is_ok());
     }
 
     #[test]
     fn garbled_backend_executes_and_counts_gates() {
-        let mut eng = MpcEngine::new(MpcBackendConfig::obliv_c());
+        let eng = MpcEngine::new(MpcBackendConfig::obliv_c());
         let rel = sales();
         let op = Operator::Aggregate {
             group_by: vec!["companyID".into()],
@@ -1262,15 +899,11 @@ mod tests {
         assert!(out.same_rows_unordered(&execute(&op, &[&rel]).unwrap()));
         assert!(stats.circuit.and_gates > 0);
         assert_eq!(stats.counts, PrimitiveCounts::default());
-        // execute_shared is a secret-sharing-only API.
-        let mut p = Protocol::new(2, 1);
-        let shared = SharedRelation::from_relation(&rel, &mut p).unwrap();
-        assert!(eng.execute_shared(&Operator::Shuffle, &[&shared]).is_err());
     }
 
     #[test]
     fn garbled_join_hits_out_of_memory_at_figure_1_scale() {
-        let mut eng = MpcEngine::new(MpcBackendConfig::obliv_c());
+        let eng = MpcEngine::new(MpcBackendConfig::obliv_c());
         let n = 20_000usize;
         let rows: Vec<Vec<i64>> = (0..n as i64).map(|i| vec![i, i]).collect();
         let big = Relation::from_ints(&["k", "v"], &rows);

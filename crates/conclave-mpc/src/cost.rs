@@ -43,9 +43,10 @@ pub struct PrimitiveCounts {
     /// Elements moved by oblivious shuffles (rows × columns).
     pub shuffled_elems: u64,
     /// Binary AND gates evaluated on XOR-shared bits (comparison circuits).
-    /// Zero on the in-process oracle path, which charges a flat amortized
-    /// `comparisons`/`equalities` tally instead; the party runtime tallies
-    /// both the flat count *and* the per-bit gates it actually evaluated.
+    /// Zero on the modeled and in-process `Protocol` paths, which charge a
+    /// flat amortized `comparisons`/`equalities` tally instead; the party
+    /// runtime tallies both the flat count *and* the per-bit gates it
+    /// actually evaluated.
     pub bit_ands: u64,
     /// Communication rounds spent inside comparison circuits (masked
     /// openings, prefix-adder levels, bit-to-arithmetic conversions). Like
@@ -53,7 +54,8 @@ pub struct PrimitiveCounts {
     pub circuit_rounds: u64,
     /// Deferred SPDZ MAC checks performed at reveal boundaries (each costs
     /// two synchronous rounds: a commitment broadcast and a sigma opening).
-    /// Zero on the in-process oracle path and in unauthenticated sessions.
+    /// Zero on the modeled and in-process `Protocol` paths and in
+    /// unauthenticated sessions.
     pub mac_checks: u64,
 }
 
@@ -104,7 +106,7 @@ impl PrimitiveCounts {
     /// words per 64 gates (0.25 B/gate), and each comparison additionally
     /// pays one masked decomposition opening plus one bit-to-arithmetic
     /// opening. With `bit_ands == 0` this reduces to the original flat
-    /// formula, so oracle-path estimates and calibration anchors are
+    /// formula, so modeled estimates and calibration anchors are
     /// unchanged.
     pub fn bytes(&self) -> u64 {
         let compare_bytes = if self.bit_ands > 0 {

@@ -5,32 +5,34 @@
 //! circuits); its SMCQL comparison additionally uses ObliVM. None of these
 //! are available here, so this crate implements the substrates from scratch:
 //!
-//! * [`ring`], [`share`], [`triples`], [`protocol`] — a real additive
-//!   secret-sharing layer over `Z_{2^64}` with Beaver-triple multiplication,
-//!   reveal/reshare, and *simulated-oblivious* comparisons (the comparison
-//!   result is computed by a trusted simulator while the documented
-//!   communication/computation cost of a bit-decomposition protocol is
-//!   charged — see DESIGN.md §2 for the substitution rationale).
-//! * [`oblivious`], [`relation`] — oblivious relational sub-protocols over
-//!   secret-shared relations: shuffles, Batcher sorting networks, merges,
-//!   Laud-style oblivious indexing, Cartesian-product joins, and the
-//!   Jónsson-style sorting aggregation the paper builds on.
+//! * [`runtime`] — the **distributed party runtime**, the one secret-shared
+//!   implementation of the MPC operators: a session-lifetime
+//!   [`runtime::PartySession`] (identity, dealer streams, triple cache) that
+//!   hands out per-plan-step [`runtime::StepCtx`] drivers. Each step drives
+//!   open/multiply/comparisons and the oblivious relational operators
+//!   (Batcher sorting networks, Cartesian-product joins, filters, the
+//!   Jónsson-style sorting aggregation) through real
+//!   [`conclave_net::Transport`] message rounds on its own logical stream,
+//!   recording observed (not modeled) traffic. Its tests check it against
+//!   the cleartext oracle (`conclave_engine::execute` and plain `i64`
+//!   arithmetic); [`runtime::check_supported`] is the one static statement
+//!   of what it can evaluate.
+//! * [`backend`] — [`MpcEngine`]: the analytic cost model of every operator
+//!   under a secret-sharing or garbled-circuit backend (the numbers behind
+//!   the planner and the paper's figures), and the simulated execution mode
+//!   that evaluates a step in the clear and charges that modeled cost.
+//! * [`ring`], [`share`], [`triples`], [`protocol`], [`relation`],
+//!   [`oblivious`] — an in-process additive secret-sharing layer over
+//!   `Z_{2^64}` (all parties' shares in one struct, Beaver multiplication,
+//!   *simulated-oblivious* comparisons computed by a trusted simulator while
+//!   the documented cost is charged), with the shuffle, oblivious-indexing
+//!   and grouped-aggregation sub-protocols the hybrid operators of §5.3 use
+//!   until they move onto the party runtime.
 //! * [`garbled`] — a garbled-circuit backend model (Obliv-C / ObliVM-like):
 //!   boolean circuit construction with gate counting and a memory model that
 //!   reproduces the out-of-memory cliffs in Figure 1.
 //! * [`cost`] — cost models converting primitive counts into simulated
 //!   wall-clock time, calibrated against the datapoints the paper reports.
-//! * [`backend`] — a unified engine that executes IR operators under a chosen
-//!   backend over cleartext inputs, returning the result relation together
-//!   with simulated runtime and traffic statistics.
-//! * [`runtime`] — the **distributed party runtime**: a session-lifetime
-//!   [`runtime::PartySession`] (identity, dealer streams, triple cache) that
-//!   hands out per-plan-step [`runtime::StepCtx`] drivers. Each step drives
-//!   open/multiply/comparisons and the oblivious relational operators through
-//!   real [`conclave_net::Transport`] message rounds on its own logical
-//!   stream, recording observed (not modeled) traffic. The in-process
-//!   [`Protocol`] remains the fast path and the differential-testing oracle
-//!   for it.
 //! * [`circuits`] — bit-decomposed comparison circuits for the party
 //!   runtime: signed less-than and equality computed entirely on shares
 //!   (Kogge-Stone carry adders over XOR-shared bits, binary Beaver ANDs,

@@ -1,18 +1,18 @@
-//! Oblivious relational sub-protocols over secret-shared relations.
-//!
-//! These are the building blocks §5.3–§5.4 of the paper reason about:
-//! oblivious shuffles, Batcher sorting networks, merges, Laud-style oblivious
-//! indexing (`select`), Cartesian-product joins, and the sorting-based
-//! aggregation of Jónsson et al. Every function charges its primitive cost
-//! to the [`Protocol`], so end-to-end simulated runtimes reflect the
-//! asymptotics the paper's arguments rely on (e.g. the `𝒪(n²)` join vs the
-//! `𝒪((n+m)·log(n+m))` hybrid-join indexing step).
+//! Oblivious relational sub-protocols over in-process secret-shared
+//! relations, used by the hybrid protocols of §5.3: oblivious shuffles,
+//! Laud-style oblivious indexing (`select`), and the sorting-based
+//! aggregation of Jónsson et al. over a key-grouped relation. Every function
+//! charges its primitive cost to the [`Protocol`], so the hybrid protocols'
+//! simulated runtimes reflect the asymptotics the paper's arguments rely on
+//! (e.g. the `𝒪((n+m)·log(n+m))` hybrid-join indexing step). The party
+//! runtime ([`crate::runtime`]) implements the full operator set on real
+//! per-party shares.
 
 use crate::cost::PrimitiveCounts;
 use crate::protocol::Protocol;
 use crate::relation::SharedRelation;
 use crate::share::Shares;
-use conclave_ir::ops::{aggregate_schema, join_schema, AggFunc};
+use conclave_ir::ops::{aggregate_schema, AggFunc};
 
 /// Obliviously shuffles the rows of a shared relation.
 ///
@@ -23,134 +23,6 @@ pub fn shuffle(rel: &SharedRelation, proto: &mut Protocol) -> SharedRelation {
     proto.charge_shuffle(rel.num_elems());
     let perm = proto.random_permutation(rel.num_rows());
     rel.permute(&perm)
-}
-
-/// Obliviously sorts the relation by the named column using a Batcher
-/// odd-even merge sorting network (`𝒪(n·log²n)` compare-exchanges).
-pub fn sort_by(
-    rel: &SharedRelation,
-    column: &str,
-    ascending: bool,
-    proto: &mut Protocol,
-) -> Result<SharedRelation, String> {
-    let key = rel
-        .col_index(column)
-        .ok_or_else(|| format!("unknown sort column `{column}`"))?;
-    let mut rows = rel.rows.clone();
-    let n = rows.len();
-    if n > 1 {
-        for (i, j) in batcher_pairs(n) {
-            compare_exchange(&mut rows, i, j, key, ascending, proto);
-        }
-    }
-    Ok(SharedRelation {
-        schema: rel.schema.clone(),
-        rows,
-    })
-}
-
-/// Obliviously merges several relations that are each sorted by `column`.
-///
-/// A full sorting network is not needed: the concatenation is processed with
-/// a single odd-even merge pass, `𝒪(n·log n)` compare-exchanges.
-pub fn merge_sorted(
-    parts: &[SharedRelation],
-    column: &str,
-    ascending: bool,
-    proto: &mut Protocol,
-) -> Result<SharedRelation, String> {
-    let cat = SharedRelation::concat(parts)?;
-    let key = cat
-        .col_index(column)
-        .ok_or_else(|| format!("unknown merge column `{column}`"))?;
-    let mut rows = cat.rows.clone();
-    let n = rows.len();
-    if n > 1 {
-        // An odd-even transposition-style merge: log n passes of adjacent
-        // compare-exchanges is sufficient for merging a small number of
-        // sorted runs and has the right 𝒪(n·log n) cost profile. For full
-        // generality (arbitrary interleavings) fall back to the sorting
-        // network when more than two runs are merged.
-        if parts.len() > 2 {
-            return sort_by(&cat, column, ascending, proto);
-        }
-        let passes = (usize::BITS - (n - 1).leading_zeros()) as usize;
-        for pass in 0..passes {
-            let stride = 1usize << pass;
-            let mut i = 0;
-            while i + stride < n {
-                compare_exchange(&mut rows, i, i + stride, key, ascending, proto);
-                i += 1;
-            }
-        }
-        // A final adjacent clean-up pass guarantees sortedness for two runs.
-        for _ in 0..2 {
-            for i in 0..n - 1 {
-                compare_exchange(&mut rows, i, i + 1, key, ascending, proto);
-            }
-        }
-    }
-    Ok(SharedRelation {
-        schema: cat.schema,
-        rows,
-    })
-}
-
-/// One oblivious compare-exchange: conditionally swaps rows `i` and `j` so
-/// that the key at `i` precedes the key at `j` in the requested order.
-fn compare_exchange(
-    rows: &mut [Vec<Shares>],
-    i: usize,
-    j: usize,
-    key: usize,
-    ascending: bool,
-    proto: &mut Protocol,
-) {
-    let (a, b) = (rows[i][key].clone(), rows[j][key].clone());
-    // swap = 1 iff the pair is out of order.
-    let swap = if ascending {
-        proto.lt(&b, &a)
-    } else {
-        proto.lt(&a, &b)
-    };
-    let cols = rows[i].len();
-    // Indexing (not iterators) because each column touches two distinct rows.
-    #[allow(clippy::needless_range_loop)]
-    for c in 0..cols {
-        let x = rows[i][c].clone();
-        let y = rows[j][c].clone();
-        let new_i = proto.mux(&swap, &y, &x);
-        let new_j = proto.mux(&swap, &x, &y);
-        rows[i][c] = new_i;
-        rows[j][c] = new_j;
-    }
-}
-
-/// Generates the compare-exchange pairs of a Batcher odd-even merge sort for
-/// `n` elements (indices `>= n` are skipped, which is the standard way to
-/// handle non-power-of-two sizes).
-fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    let mut p = 1;
-    while p < n {
-        let mut k = p;
-        while k >= 1 {
-            let mut j = k % p;
-            while j + k < n {
-                for i in 0..k {
-                    let a = i + j;
-                    let b = i + j + k;
-                    if b < n && (a / (p * 2)) == (b / (p * 2)) {
-                        pairs.push((a, b));
-                    }
-                }
-                j += k * 2;
-            }
-            k /= 2;
-        }
-        p *= 2;
-    }
-    pairs
 }
 
 /// Laud-style oblivious indexing (`select`): given a data relation and a
@@ -193,64 +65,11 @@ pub fn oblivious_select(
     })
 }
 
-/// Standard MPC join: a Cartesian-product comparison of all row pairs
-/// (`𝒪(n·m)` oblivious equality tests), as implemented by the paper's
-/// prototype for both Sharemind and Obliv-C (§6).
-pub fn cartesian_join(
-    left: &SharedRelation,
-    right: &SharedRelation,
-    left_keys: &[String],
-    right_keys: &[String],
-    proto: &mut Protocol,
-) -> Result<SharedRelation, String> {
-    let lk: Vec<usize> = left_keys
-        .iter()
-        .map(|c| {
-            left.col_index(c)
-                .ok_or_else(|| format!("unknown column `{c}`"))
-        })
-        .collect::<Result<_, _>>()?;
-    let rk: Vec<usize> = right_keys
-        .iter()
-        .map(|c| {
-            right
-                .col_index(c)
-                .ok_or_else(|| format!("unknown column `{c}`"))
-        })
-        .collect::<Result<_, _>>()?;
-    let schema = join_schema(&left.schema, &right.schema, left_keys, right_keys)
-        .map_err(|e| e.to_string())?;
-    let right_keep: Vec<usize> = (0..right.num_cols()).filter(|i| !rk.contains(i)).collect();
-
-    let mut rows = Vec::new();
-    for lrow in &left.rows {
-        for rrow in &right.rows {
-            // All key columns must match; each pairwise test is an oblivious
-            // equality.
-            let mut matched = true;
-            for (&lc, &rc) in lk.iter().zip(&rk) {
-                let flag = proto.eq(&lrow[lc], &rrow[rc]);
-                if flag.reconstruct().to_i64() == 0 {
-                    matched = false;
-                }
-            }
-            if matched {
-                let mut out = lrow.clone();
-                for &c in &right_keep {
-                    out.push(rrow[c].clone());
-                }
-                rows.push(out);
-            }
-        }
-    }
-    Ok(SharedRelation { schema, rows })
-}
-
 /// Sorting-based oblivious aggregation (Jónsson et al.), as used by the
-/// paper's prototype: the input must already be sorted (or grouped) by the
-/// group-by column; the scan accumulates each group into its last row and the
-/// non-final rows are discarded after a shuffle-and-reveal of the equality
-/// flags.
+/// paper's prototype: the input must already be grouped by the group-by
+/// column (at least one); the scan accumulates each group into its last row
+/// and the non-final rows are discarded after a shuffle-and-reveal of the
+/// equality flags.
 pub fn aggregate_sorted(
     rel: &SharedRelation,
     group_by: &[String],
@@ -276,45 +95,15 @@ pub fn aggregate_sorted(
     if func.needs_over() && over_col.is_none() {
         return Err(format!("{func} requires an over column"));
     }
+    if key_cols.is_empty() {
+        return Err("oblivious aggregation needs a group-by column".into());
+    }
     let schema =
         aggregate_schema(&rel.schema, group_by, func, over, out).map_err(|e| e.to_string())?;
 
     let n = rel.num_rows();
     if n == 0 {
         return Ok(SharedRelation::empty(schema));
-    }
-
-    // Scalar aggregation: a linear scan of local additions (SUM/COUNT) or
-    // oblivious min/max selection.
-    if key_cols.is_empty() {
-        let value = match func {
-            AggFunc::Count => proto.constant(n as i64),
-            AggFunc::Sum => {
-                let c = over_col.expect("checked above");
-                let mut acc = proto.constant(0);
-                for row in &rel.rows {
-                    acc = proto.add(&acc, &row[c]);
-                }
-                acc
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let c = over_col.expect("checked above");
-                let mut acc = rel.rows[0][c].clone();
-                for row in rel.rows.iter().skip(1) {
-                    let cond = if func == AggFunc::Min {
-                        proto.lt(&row[c], &acc)
-                    } else {
-                        proto.lt(&acc, &row[c])
-                    };
-                    acc = proto.mux(&cond, &row[c], &acc);
-                }
-                acc
-            }
-        };
-        return Ok(SharedRelation {
-            schema,
-            rows: vec![vec![value]],
-        });
     }
 
     // Grouped aggregation over a key-sorted relation.
@@ -391,58 +180,19 @@ pub fn aggregate_sorted(
     Ok(SharedRelation { schema, rows })
 }
 
-/// Multiplies operand columns into a new (or replaced) output column, one
-/// Beaver multiplication per row per extra factor.
-pub fn multiply_columns(
-    rel: &SharedRelation,
-    out: &str,
-    operand_cols: &[String],
-    proto: &mut Protocol,
-) -> Result<SharedRelation, String> {
-    let idxs: Vec<usize> = operand_cols
-        .iter()
-        .map(|c| {
-            rel.col_index(c)
-                .ok_or_else(|| format!("unknown column `{c}`"))
-        })
-        .collect::<Result<_, _>>()?;
-    if idxs.is_empty() {
-        return Err("multiply needs at least one operand column".into());
-    }
-    let replace = rel.col_index(out);
-    let mut schema = rel.schema.clone();
-    if replace.is_none() {
-        schema
-            .push(conclave_ir::schema::ColumnDef::new(
-                out,
-                conclave_ir::types::DataType::Int,
-            ))
-            .map_err(|e| e.to_string())?;
-    }
-    let mut rows = Vec::with_capacity(rel.num_rows());
-    for row in &rel.rows {
-        let mut acc = row[idxs[0]].clone();
-        for &i in &idxs[1..] {
-            acc = proto.mul(&acc, &row[i]);
-        }
-        let mut new_row = row.clone();
-        match replace {
-            Some(i) => new_row[i] = acc,
-            None => new_row.push(acc),
-        }
-        rows.push(new_row);
-    }
-    Ok(SharedRelation { schema, rows })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use conclave_engine::{execute, Relation};
     use conclave_ir::ops::Operator;
+    use conclave_ir::types::Value;
 
     fn share(rel: &Relation, proto: &mut Protocol) -> SharedRelation {
         SharedRelation::from_relation(rel, proto).unwrap()
+    }
+
+    fn grouped_sum(rel: &SharedRelation, p: &mut Protocol) -> SharedRelation {
+        aggregate_sorted(rel, &["k".to_string()], AggFunc::Sum, Some("v"), "s", p).unwrap()
     }
 
     #[test]
@@ -457,71 +207,6 @@ mod tests {
         let back = shuffled.reconstruct(&mut p);
         assert!(back.same_rows_unordered(&rel));
         assert_eq!(p.counts().shuffled_elems, 40);
-    }
-
-    #[test]
-    fn batcher_pairs_sort_correctly_for_various_sizes() {
-        for n in [1usize, 2, 3, 5, 8, 13, 16, 31] {
-            let mut vals: Vec<i64> = (0..n as i64).rev().collect();
-            // Apply the network on cleartext values to validate the pair set.
-            for (i, j) in batcher_pairs(n) {
-                if vals[i] > vals[j] {
-                    vals.swap(i, j);
-                }
-            }
-            let mut expected: Vec<i64> = (0..n as i64).collect();
-            expected.sort_unstable();
-            assert_eq!(vals, expected, "network failed for n={n}");
-        }
-    }
-
-    #[test]
-    fn oblivious_sort_matches_cleartext_sort() {
-        let mut p = Protocol::new(3, 2);
-        let rel = Relation::from_ints(
-            &["k", "v"],
-            &[
-                vec![5, 50],
-                vec![1, 10],
-                vec![4, 40],
-                vec![2, 20],
-                vec![3, 30],
-            ],
-        );
-        let shared = share(&rel, &mut p);
-        let sorted = sort_by(&shared, "k", true, &mut p).unwrap();
-        let back = sorted.reconstruct(&mut p);
-        assert!(back.is_sorted_by("k", true));
-        assert!(back.same_rows_unordered(&rel));
-        assert!(p.counts().comparisons > 0);
-        // Descending order too.
-        let sorted_desc = sort_by(&shared, "k", false, &mut p).unwrap();
-        assert!(sorted_desc.reconstruct(&mut p).is_sorted_by("k", false));
-        assert!(sort_by(&shared, "zzz", true, &mut p).is_err());
-    }
-
-    #[test]
-    fn merge_of_sorted_runs_is_sorted() {
-        let mut p = Protocol::new(3, 3);
-        let a = Relation::from_ints(&["k"], &[vec![1], vec![4], vec![7]]);
-        let b = Relation::from_ints(&["k"], &[vec![2], vec![3], vec![9]]);
-        let sa = share(&a, &mut p);
-        let sb = share(&b, &mut p);
-        let merged = merge_sorted(&[sa, sb], "k", true, &mut p).unwrap();
-        let back = merged.reconstruct(&mut p);
-        assert_eq!(back.num_rows(), 6);
-        assert!(back.is_sorted_by("k", true));
-    }
-
-    #[test]
-    fn merge_three_runs_falls_back_to_sort() {
-        let mut p = Protocol::new(3, 9);
-        let a = Relation::from_ints(&["k"], &[vec![5], vec![6]]);
-        let b = Relation::from_ints(&["k"], &[vec![1], vec![9]]);
-        let c = Relation::from_ints(&["k"], &[vec![0], vec![7]]);
-        let parts = [share(&a, &mut p), share(&b, &mut p), share(&c, &mut p)];
-        let merged = merge_sorted(&parts, "k", true, &mut p).unwrap();
-        assert!(merged.reconstruct(&mut p).is_sorted_by("k", true));
     }
 
     #[test]
@@ -550,34 +235,6 @@ mod tests {
         let sbad = share(&bad_idx, &mut p);
         assert!(oblivious_select(&sdata, &sbad, "idx", &mut p).is_err());
         assert!(oblivious_select(&sdata, &sidx, "nope", &mut p).is_err());
-    }
-
-    #[test]
-    fn cartesian_join_matches_cleartext_join_and_costs_n_squared() {
-        let mut p = Protocol::new(3, 5);
-        let left =
-            Relation::from_ints(&["ssn", "zip"], &[vec![1, 100], vec![2, 200], vec![3, 300]]);
-        let right =
-            Relation::from_ints(&["ssn", "score"], &[vec![2, 70], vec![3, 65], vec![3, 66]]);
-        let sl = share(&left, &mut p);
-        let sr = share(&right, &mut p);
-        let joined =
-            cartesian_join(&sl, &sr, &["ssn".to_string()], &["ssn".to_string()], &mut p).unwrap();
-        let back = joined.reconstruct(&mut p);
-        let expected = execute(
-            &Operator::Join {
-                left_keys: vec!["ssn".into()],
-                right_keys: vec!["ssn".into()],
-                kind: conclave_ir::ops::JoinKind::Inner,
-            },
-            &[&left, &right],
-        )
-        .unwrap();
-        assert!(back.same_rows_unordered(&expected));
-        assert_eq!(p.counts().equalities, 9, "3x3 Cartesian comparisons");
-        assert!(
-            cartesian_join(&sl, &sr, &["zzz".to_string()], &["ssn".to_string()], &mut p).is_err()
-        );
     }
 
     #[test]
@@ -621,117 +278,32 @@ mod tests {
     }
 
     #[test]
-    fn scalar_aggregation_and_empty_input() {
+    fn aggregation_rejects_bad_shapes_and_passes_empty_input() {
         let mut p = Protocol::new(3, 7);
-        let rel = Relation::from_ints(&["v"], &[vec![5], vec![7], vec![-2]]);
+        let rel = Relation::from_ints(&["k", "v"], &[vec![1, 5], vec![1, 7]]);
         let shared = share(&rel, &mut p);
-        let sum = aggregate_sorted(&shared, &[], AggFunc::Sum, Some("v"), "t", &mut p).unwrap();
-        assert_eq!(
-            sum.reconstruct(&mut p).rows[0][0],
-            conclave_ir::types::Value::Int(10)
-        );
-        let min = aggregate_sorted(&shared, &[], AggFunc::Min, Some("v"), "m", &mut p).unwrap();
-        assert_eq!(
-            min.reconstruct(&mut p).rows[0][0],
-            conclave_ir::types::Value::Int(-2)
-        );
-        let max = aggregate_sorted(&shared, &[], AggFunc::Max, Some("v"), "m", &mut p).unwrap();
-        assert_eq!(
-            max.reconstruct(&mut p).rows[0][0],
-            conclave_ir::types::Value::Int(7)
-        );
-        let cnt = aggregate_sorted(&shared, &[], AggFunc::Count, None, "n", &mut p).unwrap();
-        assert_eq!(
-            cnt.reconstruct(&mut p).rows[0][0],
-            conclave_ir::types::Value::Int(3)
-        );
+        let key = ["k".to_string()];
+        // Scalar aggregation is not a hybrid-protocol shape.
+        assert!(aggregate_sorted(&shared, &[], AggFunc::Sum, Some("v"), "t", &mut p).is_err());
+        // Missing or unknown over column.
+        assert!(aggregate_sorted(&shared, &key, AggFunc::Sum, None, "t", &mut p).is_err());
+        assert!(aggregate_sorted(&shared, &key, AggFunc::Sum, Some("zzz"), "t", &mut p).is_err());
 
-        let empty = SharedRelation::empty(conclave_ir::schema::Schema::ints(&["v"]));
-        let agg = aggregate_sorted(&empty, &[], AggFunc::Sum, Some("v"), "t", &mut p).unwrap();
-        assert_eq!(agg.num_rows(), 0);
-        // Missing over column.
-        assert!(aggregate_sorted(&shared, &[], AggFunc::Sum, None, "t", &mut p).is_err());
-        assert!(aggregate_sorted(&shared, &[], AggFunc::Sum, Some("zzz"), "t", &mut p).is_err());
-    }
-
-    #[test]
-    fn full_mpc_aggregation_pipeline_sort_then_aggregate() {
-        // The paper's standard MPC aggregation = oblivious sort + linear scan.
-        let mut p = Protocol::new(3, 8);
-        let rel = Relation::from_ints(
-            &["k", "v"],
-            &[
-                vec![3, 1],
-                vec![1, 5],
-                vec![3, 2],
-                vec![2, 7],
-                vec![1, 1],
-                vec![2, 1],
-            ],
-        );
-        let shared = share(&rel, &mut p);
-        let sorted = sort_by(&shared, "k", true, &mut p).unwrap();
-        let agg = aggregate_sorted(
-            &sorted,
-            &["k".to_string()],
-            AggFunc::Sum,
-            Some("v"),
-            "s",
-            &mut p,
-        )
-        .unwrap();
-        let back = agg.reconstruct(&mut p);
-        let expected = execute(
-            &Operator::Aggregate {
-                group_by: vec!["k".into()],
-                func: AggFunc::Sum,
-                over: Some("v".into()),
-                out: "s".into(),
-            },
-            &[&rel],
-        )
-        .unwrap();
-        assert!(back.same_rows_unordered(&expected));
+        let empty = SharedRelation::empty(conclave_ir::schema::Schema::ints(&["k", "v"]));
+        let grouped = grouped_sum(&empty, &mut p);
+        assert_eq!(grouped.num_rows(), 0);
+        assert_eq!(grouped.schema.names(), vec!["k", "s"]);
     }
 
     #[test]
     fn empty_relations_flow_through_every_oblivious_operator() {
         let mut p = Protocol::new(3, 21);
         let schema = conclave_ir::schema::Schema::ints(&["k", "v"]);
-        let empty = SharedRelation::empty(schema.clone());
+        let empty = SharedRelation::empty(schema);
         assert_eq!(shuffle(&empty, &mut p).num_rows(), 0);
-        assert_eq!(sort_by(&empty, "k", true, &mut p).unwrap().num_rows(), 0);
-        assert_eq!(
-            merge_sorted(&[empty.clone(), empty.clone()], "k", true, &mut p)
-                .unwrap()
-                .num_rows(),
-            0
-        );
-        let grouped = aggregate_sorted(
-            &empty,
-            &["k".to_string()],
-            AggFunc::Sum,
-            Some("v"),
-            "s",
-            &mut p,
-        )
-        .unwrap();
-        assert_eq!(grouped.num_rows(), 0);
-        assert_eq!(grouped.schema.names(), vec!["k", "s"]);
-        // Joining with an empty side yields no rows and no equality tests.
-        let some = share(&Relation::from_ints(&["k", "v"], &[vec![1, 2]]), &mut p);
-        p.reset_counts();
-        let joined = cartesian_join(
-            &empty,
-            &some,
-            &["k".to_string()],
-            &["k".to_string()],
-            &mut p,
-        )
-        .unwrap();
-        assert_eq!(joined.num_rows(), 0);
-        assert_eq!(p.counts().equalities, 0);
+        assert_eq!(grouped_sum(&empty, &mut p).num_rows(), 0);
         // Selecting with an empty index relation selects nothing.
+        let some = share(&Relation::from_ints(&["k", "v"], &[vec![1, 2]]), &mut p);
         let empty_idx = SharedRelation::empty(conclave_ir::schema::Schema::ints(&["i"]));
         let selected = oblivious_select(&some, &empty_idx, "i", &mut p).unwrap();
         assert_eq!(selected.num_rows(), 0);
@@ -741,37 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn all_duplicate_join_keys_produce_the_full_cross_product_obliviously() {
+    fn all_duplicate_keys_collapse_to_one_group() {
         let mut p = Protocol::new(3, 22);
         let rows: Vec<Vec<i64>> = (0..4).map(|i| vec![7, i]).collect();
-        let rel = Relation::from_ints(&["k", "v"], &rows);
-        let sl = share(&rel, &mut p);
-        let sr = share(&rel, &mut p);
-        p.reset_counts();
-        let joined =
-            cartesian_join(&sl, &sr, &["k".to_string()], &["k".to_string()], &mut p).unwrap();
-        assert_eq!(joined.num_rows(), 16, "4x4 all-match cross product");
-        assert_eq!(p.counts().equalities, 16, "one equality test per pair");
-        // And an all-duplicate sort/aggregate collapses to a single group.
-        let sorted = sort_by(&sl, "k", true, &mut p).unwrap();
-        let agg = aggregate_sorted(
-            &sorted,
-            &["k".to_string()],
-            AggFunc::Sum,
-            Some("v"),
-            "s",
-            &mut p,
-        )
-        .unwrap();
-        let back = agg.reconstruct(&mut p);
-        assert_eq!(back.num_rows(), 1);
-        assert_eq!(
-            back.rows[0],
-            vec![
-                conclave_ir::types::Value::Int(7),
-                conclave_ir::types::Value::Int(6)
-            ]
-        );
+        let shared = share(&Relation::from_ints(&["k", "v"], &rows), &mut p);
+        let back = grouped_sum(&shared, &mut p).reconstruct(&mut p);
+        assert_eq!(back.rows, vec![vec![Value::Int(7), Value::Int(6)]]);
     }
 
     #[test]
@@ -780,13 +327,6 @@ mod tests {
         let rel = Relation::from_ints(&["k", "v"], &[vec![3, 4]]);
         let shared = share(&rel, &mut p);
         assert_eq!(shuffle(&shared, &mut p).reconstruct(&mut p).rows, rel.rows);
-        assert_eq!(
-            sort_by(&shared, "k", true, &mut p)
-                .unwrap()
-                .reconstruct(&mut p)
-                .rows,
-            rel.rows
-        );
         let agg = aggregate_sorted(
             &shared,
             &["k".to_string()],
@@ -797,38 +337,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(agg.reconstruct(&mut p).rows, rel.rows);
-        let joined = cartesian_join(
-            &shared,
-            &shared,
-            &["k".to_string()],
-            &["k".to_string()],
-            &mut p,
-        )
-        .unwrap();
-        assert_eq!(joined.num_rows(), 1);
-    }
-
-    #[test]
-    fn multiply_columns_matches_cleartext() {
-        let mut p = Protocol::new(3, 10);
-        let rel = Relation::from_ints(&["a", "b"], &[vec![2, 3], vec![-4, 5]]);
-        let shared = share(&rel, &mut p);
-        let out =
-            multiply_columns(&shared, "ab", &["a".to_string(), "b".to_string()], &mut p).unwrap();
-        let back = out.reconstruct(&mut p);
-        assert_eq!(
-            back.column_values("ab").unwrap(),
-            vec![
-                conclave_ir::types::Value::Int(6),
-                conclave_ir::types::Value::Int(-20)
-            ]
-        );
-        assert_eq!(p.counts().mults, 2);
-        // Replacing an existing column.
-        let squared =
-            multiply_columns(&shared, "a", &["a".to_string(), "a".to_string()], &mut p).unwrap();
-        assert_eq!(squared.num_cols(), 2);
-        assert!(multiply_columns(&shared, "x", &[], &mut p).is_err());
-        assert!(multiply_columns(&shared, "x", &["zzz".to_string()], &mut p).is_err());
     }
 }

@@ -121,11 +121,6 @@ impl Protocol {
         x.add_public(RingElem::from_i64(c))
     }
 
-    /// Multiplies by a public constant (local).
-    pub fn mul_public(&self, x: &Shares, c: i64) -> Shares {
-        x.mul_public(RingElem::from_i64(c))
-    }
-
     // ------------------------------------------------------------------
     // Non-linear operations (communication).
     // ------------------------------------------------------------------
@@ -217,12 +212,10 @@ mod tests {
         let before = p.counts().nonlinear_ops();
         let sum = p.add(&a, &b);
         let diff = p.sub(&a, &b);
-        let scaled = p.mul_public(&a, 3);
         let shifted = p.add_public(&a, 100);
         assert_eq!(p.counts().nonlinear_ops(), before);
         assert_eq!(p.open(&sum), 14);
         assert_eq!(p.open(&diff), 6);
-        assert_eq!(p.open(&scaled), 30);
         assert_eq!(p.open(&shifted), 110);
     }
 

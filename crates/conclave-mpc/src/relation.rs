@@ -175,24 +175,6 @@ impl SharedRelation {
         Ok(SharedRelation { schema, rows })
     }
 
-    /// Concatenates shared relations with identical arity (free).
-    pub fn concat(parts: &[SharedRelation]) -> Result<SharedRelation, String> {
-        let Some(first) = parts.first() else {
-            return Err("concat of zero shared relations".into());
-        };
-        let mut rows = Vec::new();
-        for p in parts {
-            if p.num_cols() != first.num_cols() {
-                return Err("concat arity mismatch".into());
-            }
-            rows.extend(p.rows.iter().cloned());
-        }
-        Ok(SharedRelation {
-            schema: first.schema.clone(),
-            rows,
-        })
-    }
-
     /// Applies a row permutation (used by shuffles; the permutation itself is
     /// known only to the protocol simulator).
     pub fn permute(&self, perm: &[usize]) -> SharedRelation {
@@ -289,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn project_and_concat() {
+    fn project() {
         let mut p = Protocol::new(3, 2);
         let rel = demo();
         let shared = SharedRelation::from_relation(&rel, &mut p).unwrap();
@@ -300,12 +282,6 @@ mod tests {
             vec![Value::Int(10), Value::Int(20), Value::Int(30)]
         );
         assert!(shared.project(&["zzz".to_string()]).is_err());
-
-        let cat = SharedRelation::concat(&[shared.clone(), shared.clone()]).unwrap();
-        assert_eq!(cat.num_rows(), 6);
-        assert!(SharedRelation::concat(&[]).is_err());
-        let other = SharedRelation::empty(Schema::ints(&["a"]));
-        assert!(SharedRelation::concat(&[shared, other]).is_err());
     }
 
     #[test]

@@ -23,11 +23,13 @@
 //! * [`PartyRelation`] is the per-party slice of a secret-shared relation
 //!   (public schema, one share per cell), and the free functions implement
 //!   the oblivious relational operators over it ([`sort_by`], [`shuffle`],
-//!   [`aggregate_sorted`], [`cartesian_join`], [`filter`], …), mirroring the
-//!   in-process implementations in [`crate::oblivious`] cell for cell.
-//! * [`execute_party_op`] dispatches one relational [`Operator`] exactly like
-//!   [`crate::backend::MpcEngine::execute_shared`], so a driver can swap the
-//!   simulated engine for a party mesh without changing plan semantics.
+//!   [`aggregate_sorted`], [`cartesian_join`], [`filter`], …). This is the
+//!   workspace's only secret-shared implementation of these operators.
+//! * [`execute_party_op`] dispatches one relational [`Operator`] after
+//!   [`check_supported`] accepts it. The simulated mode
+//!   ([`crate::backend::MpcEngine::execute_op`]) applies the same check and
+//!   evaluates the operator in the clear, so a driver can swap it for a
+//!   party mesh without changing plan semantics.
 //!
 //! ## Open/reveal semantics
 //!
@@ -48,8 +50,7 @@
 //!
 //! * [`DealerSource::Seeded`] — the original *common-seed dealer*: every
 //!   party derives the identical dealer stream from the shared RNG seed and
-//!   keeps its own share (the semi-honest development mode, still the
-//!   differential-testing default);
+//!   keeps its own share (the semi-honest development mode, and the default);
 //! * [`DealerSource::Preloaded`] — per-party material pregenerated by the
 //!   standalone dealer ([`crate::dealer`]) and loaded from a file;
 //! * [`DealerSource::Streamed`] — blocks pulled on demand from a dealer
@@ -80,7 +81,8 @@
 //! transport.
 //!
 //! The split preserves exact `Z_{2^64}` arithmetic, which is what the
-//! transport-equivalence test suite pins against the in-process oracle.
+//! transport-equivalence test suite pins against the cleartext oracle
+//! (`conclave_engine::execute` and plain `i64` arithmetic).
 
 use crate::cost::PrimitiveCounts;
 use crate::dealer::{self, DealerSource, InputMask, MaterialBlocks};
@@ -1304,7 +1306,7 @@ impl<'n> StepCtx<'_, 'n> {
     }
 
     /// Adds externally-derived primitive counts (for operators whose real
-    /// cost is charged analytically, mirroring the in-process engine).
+    /// cost is charged analytically, such as oblivious indexing).
     pub fn charge(&mut self, extra: &PrimitiveCounts) {
         self.sess.counts.merge(extra);
     }
@@ -1564,8 +1566,7 @@ pub fn finish_open_relation(
                 .collect()
         })
         .collect();
-    // Reconstructed cells are integers; coerce Bool columns like the
-    // in-process `SharedRelation::reconstruct` does.
+    // Reconstructed cells are integers; coerce Bool columns to match.
     let mut schema = schema;
     for col in &mut schema.columns {
         if col.dtype == DataType::Bool {
@@ -1577,7 +1578,7 @@ pub fn finish_open_relation(
 
 /// Obliviously shuffles the relation: the permutation comes from the common
 /// randomness stream (standing in for a resharing-based shuffle), the moved
-/// elements are charged like the in-process implementation.
+/// elements are charged per shared cell.
 pub fn shuffle(proto: &mut StepCtx, rel: &PartyRelation) -> PartyRelation {
     proto.charge_shuffle(rel.num_elems());
     let perm = proto.random_permutation(rel.num_rows());
@@ -1620,9 +1621,9 @@ fn compare_exchange(
     Ok(())
 }
 
-/// Generates the Batcher odd-even merge-sort compare-exchange pairs
-/// (identical to the in-process network, so both runtimes sort in the same
-/// order).
+/// Generates the Batcher odd-even merge-sort compare-exchange pairs for `n`
+/// elements (indices `>= n` are skipped, the standard way to handle
+/// non-power-of-two sizes).
 fn batcher_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::new();
     let mut p = 1;
@@ -1670,9 +1671,9 @@ pub fn sort_by(
     })
 }
 
-/// Sorting-based oblivious aggregation over a key-sorted relation, mirroring
-/// [`crate::oblivious::aggregate_sorted`]: a linear accumulation scan, then a
-/// shuffle-and-reveal of the group-boundary flags.
+/// Sorting-based oblivious aggregation (Jónsson et al.) over a key-sorted
+/// relation: a linear accumulation scan, then a shuffle-and-reveal of the
+/// group-boundary flags.
 pub fn aggregate_sorted(
     proto: &mut StepCtx,
     rel: &PartyRelation,
@@ -1703,7 +1704,15 @@ pub fn aggregate_sorted(
 
     let n = rel.num_rows();
     if n == 0 {
-        return Ok(PartyRelation::empty(schema));
+        // A scalar COUNT or SUM over no rows is 0, as in the cleartext
+        // engine. MIN and MAX are NULL there, which the integer share domain
+        // cannot hold, so they (and every grouped aggregate) yield no rows.
+        let rows = if key_cols.is_empty() && matches!(func, AggFunc::Count | AggFunc::Sum) {
+            vec![vec![proto.constant(0)]]
+        } else {
+            Vec::new()
+        };
+        return Ok(PartyRelation { schema, rows });
     }
 
     // Scalar aggregation.
@@ -1813,8 +1822,8 @@ pub fn aggregate_sorted(
     Ok(PartyRelation { schema, rows })
 }
 
-/// Standard MPC join: Cartesian-product oblivious equality tests, mirroring
-/// [`crate::oblivious::cartesian_join`]. All pair flags are computed in one
+/// Standard MPC join: Cartesian-product oblivious equality tests (`𝒪(n·m)`,
+/// as in the paper's prototype, §6). All pair flags are computed in one
 /// batched round per key column, then opened in one round.
 pub fn cartesian_join(
     proto: &mut StepCtx,
@@ -1927,19 +1936,21 @@ fn eval_predicate(
                     _ => Ok(raw),
                 }
             }
-            _ => Err(PartyError::Unsupported(format!(
-                "arithmetic operator {op} in an MPC filter predicate"
-            ))),
+            _ => Err(unchecked(expr)),
         },
         Expr::Not(inner) => {
             let b = eval_predicate(proto, rel, inner)?;
             let one = proto.constant(1);
             Ok(b.into_iter().map(|x| one - x).collect())
         }
-        other => Err(PartyError::Unsupported(format!(
-            "predicate form `{other}` under MPC"
-        ))),
+        other => Err(unchecked(other)),
     }
+}
+
+/// The error for a predicate form [`check_supported`] rejects, reached only
+/// if a caller skipped the check.
+fn unchecked(expr: &Expr) -> PartyError {
+    PartyError::Unsupported(format!("`{expr}` under MPC"))
 }
 
 fn eval_operand(
@@ -1955,18 +1966,14 @@ fn eval_operand(
             Ok(rel.column(idx))
         }
         Expr::Const(v) => {
-            let i = v
-                .as_int()
-                .ok_or_else(|| PartyError::Unsupported("non-integer literal under MPC".into()))?;
+            let i = v.as_int().ok_or_else(|| unchecked(expr))?;
             Ok(vec![proto.constant(i); rel.num_rows()])
         }
-        other => Err(PartyError::Unsupported(format!(
-            "operand form `{other}` under MPC"
-        ))),
+        other => Err(unchecked(other)),
     }
 }
 
-/// Oblivious filter, mirroring the in-process one: per-row predicate flags,
+/// Oblivious filter: per-row predicate flags,
 /// shuffle, open the flags, keep the selected rows (leaking only the output
 /// size).
 pub fn filter(
@@ -1975,7 +1982,7 @@ pub fn filter(
     predicate: &Expr,
 ) -> PartyResult<PartyRelation> {
     if rel.num_rows() == 0 {
-        // Still validate the predicate shape on the public schema.
+        // Still resolve the predicate's columns on the public schema.
         eval_predicate(proto, rel, predicate)?;
         return Ok(rel.clone());
     }
@@ -2014,9 +2021,8 @@ pub fn filter(
     })
 }
 
-/// Column arithmetic: multiplies operand columns/literals into `out`,
-/// mirroring the in-process `mpc_multiply` (one batched Beaver round per
-/// extra factor).
+/// Column arithmetic: multiplies operand columns/literals into `out` (one
+/// batched Beaver round per extra factor).
 pub fn multiply_columns(
     proto: &mut StepCtx,
     rel: &PartyRelation,
@@ -2049,9 +2055,9 @@ pub fn multiply_columns(
                 }
             }
             Operand::Lit(v) => {
-                let i = v.as_int().ok_or_else(|| {
-                    PartyError::Unsupported("non-integer literal under MPC".into())
-                })?;
+                let i = v
+                    .as_int()
+                    .ok_or_else(|| PartyError::Unsupported(format!("literal {v} under MPC")))?;
                 acc = acc.into_iter().map(|a| proto.mul_public(a, i)).collect();
                 first = false;
             }
@@ -2074,8 +2080,7 @@ pub fn multiply_columns(
 }
 
 /// Removes duplicate adjacent rows from a key-sorted relation (the core of
-/// `distinct`), mirroring the in-process implementation: adjacent all-column
-/// equality flags, opened directly.
+/// `distinct`): adjacent all-column equality flags, opened directly.
 fn distinct_sorted(proto: &mut StepCtx, rel: &PartyRelation) -> PartyResult<PartyRelation> {
     let n = rel.num_rows();
     if n == 0 {
@@ -2157,16 +2162,85 @@ pub fn oblivious_select(
     })
 }
 
+/// Statically checks, from the operator alone, that the secret-sharing
+/// runtime can evaluate `op`, and returns the reason when it cannot: plan
+/// inputs, the driver-orchestrated hybrid protocols, division (the share
+/// domain is integer-only), group-by over more than one column, and filter
+/// predicates or multiply operands outside comparisons of columns and
+/// integer literals joined by AND/OR/NOT.
+///
+/// [`execute_party_op`] calls this on entry and the simulated path
+/// ([`crate::backend::MpcEngine::check_op`]) before evaluating in the clear,
+/// so both modes reject exactly the same operators.
+pub fn check_supported(op: &Operator) -> Result<(), String> {
+    fn predicate(expr: &Expr) -> Result<(), String> {
+        match expr {
+            Expr::Bin { op, left, right } => match op {
+                BinOp::And | BinOp::Or => {
+                    predicate(left)?;
+                    predicate(right)
+                }
+                BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                    operand(left)?;
+                    operand(right)
+                }
+                _ => Err(format!(
+                    "arithmetic operator {op} in an MPC filter predicate"
+                )),
+            },
+            Expr::Not(inner) => predicate(inner),
+            other => Err(format!("predicate form `{other}` under MPC")),
+        }
+    }
+    fn operand(expr: &Expr) -> Result<(), String> {
+        match expr {
+            Expr::Col(_) => Ok(()),
+            Expr::Const(v) => integer(v),
+            other => Err(format!("operand form `{other}` under MPC")),
+        }
+    }
+    // `Value::as_int` would truncate a FLOAT; the share domain holds only
+    // integers (and booleans as 0/1), so anything else is rejected.
+    fn integer(v: &Value) -> Result<(), String> {
+        match v {
+            Value::Int(_) | Value::Bool(_) => Ok(()),
+            other => Err(format!("non-integer literal {other} under MPC")),
+        }
+    }
+    match op {
+        Operator::Filter { predicate: p } => predicate(p),
+        Operator::Multiply { operands, .. } => operands.iter().try_for_each(|o| match o {
+            Operand::Col(_) => Ok(()),
+            Operand::Lit(v) => integer(v),
+        }),
+        Operator::Aggregate { group_by, .. } if group_by.len() > 1 => {
+            Err("multi-column group-by under MPC".into())
+        }
+        Operator::Divide { .. } => {
+            Err("division under MPC; Conclave pushes divisions out of the MPC frontier".into())
+        }
+        Operator::Input { .. } => Err("input binding".into()),
+        Operator::HybridJoin { .. }
+        | Operator::PublicJoin { .. }
+        | Operator::HybridAggregate { .. } => Err(format!(
+            "{} is a multi-site protocol orchestrated by the driver",
+            op.name()
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Executes one relational operator over already-shared party relations,
-/// mirroring [`crate::backend::MpcEngine::execute_shared`] operator for
-/// operator. `presorted_aggregate` skips the oblivious sort in front of a
-/// grouped aggregation (the §5.4 sort-elimination pay-off).
+/// after [`check_supported`] accepts it. `presorted_aggregate` skips the
+/// oblivious sort in front of a grouped aggregation (the §5.4
+/// sort-elimination pay-off).
 pub fn execute_party_op(
     proto: &mut StepCtx,
     op: &Operator,
     inputs: &[&PartyRelation],
     presorted_aggregate: bool,
 ) -> PartyResult<PartyRelation> {
+    check_supported(op).map_err(PartyError::Unsupported)?;
     let need = |n: usize| -> PartyResult<()> {
         if inputs.len() == n {
             Ok(())
@@ -2206,11 +2280,6 @@ pub fn execute_party_op(
             out,
         } => {
             need(1)?;
-            if group_by.len() > 1 {
-                return Err(PartyError::Unsupported(
-                    "multi-column group-by under MPC".into(),
-                ));
-            }
             let sorted = match group_by.first() {
                 Some(key) if !presorted_aggregate => sort_by(proto, inputs[0], key, true)?,
                 _ => inputs[0].clone(),
@@ -2293,23 +2362,19 @@ pub fn execute_party_op(
             need(1)?;
             Ok(inputs[0].clone())
         }
-        Operator::Divide { .. } => Err(PartyError::Unsupported(
-            "division under MPC; Conclave pushes divisions out of the MPC frontier".into(),
-        )),
-        Operator::Input { .. } => Err(PartyError::Unsupported("input binding".into())),
-        Operator::HybridJoin { .. }
+        // Rejected by `check_supported` above.
+        Operator::Divide { .. }
+        | Operator::Input { .. }
+        | Operator::HybridJoin { .. }
         | Operator::PublicJoin { .. }
-        | Operator::HybridAggregate { .. } => Err(PartyError::Unsupported(format!(
-            "{} is a multi-site protocol orchestrated by the driver",
-            op.name()
-        ))),
+        | Operator::HybridAggregate { .. } => Err(PartyError::Unsupported(op.name().into())),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{MpcBackendConfig, MpcEngine};
+    use conclave_engine::execute;
     use conclave_ir::ops::JoinKind;
     use conclave_net::ChannelTransport;
 
@@ -2443,7 +2508,7 @@ mod tests {
     }
 
     #[test]
-    fn party_sort_and_aggregate_match_the_inprocess_oracle() {
+    fn party_sort_and_aggregate_match_the_cleartext_oracle() {
         let rel = demo();
         let op = Operator::Aggregate {
             group_by: vec!["k".into()],
@@ -2451,8 +2516,7 @@ mod tests {
             over: Some("v".into()),
             out: "s".into(),
         };
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected, _) = oracle.execute_op(&op, &[&rel]).unwrap();
+        let expected = execute(&op, &[&rel]).unwrap();
         let outs = run_parties(3, 11, |proto| {
             let data = mine(proto, 0, &rel);
             let shared = share_relation(proto, 0, data, &rel.schema, rel.num_rows())?;
@@ -2468,6 +2532,65 @@ mod tests {
         // All parties opened the identical relation (same shuffle stream).
         assert_eq!(outs[0].rows, outs[1].rows);
         assert_eq!(outs[1].rows, outs[2].rows);
+    }
+
+    #[test]
+    fn party_scalar_aggregates_and_merge_match_the_cleartext_oracle() {
+        let rel = Relation::from_ints(&["k", "v"], &[vec![3, 30], vec![1, -10], vec![2, 7]]);
+        let runs = [
+            Relation::from_ints(&["k", "v"], &[vec![1, 5], vec![4, 0], vec![9, 2]]),
+            Relation::from_ints(&["k", "v"], &[vec![2, 1], vec![3, 3]]),
+        ];
+        let scalars: Vec<Operator> = [
+            (AggFunc::Count, None),
+            (AggFunc::Sum, Some("v")),
+            (AggFunc::Min, Some("v")),
+            (AggFunc::Max, Some("v")),
+        ]
+        .into_iter()
+        .map(|(func, over)| Operator::Aggregate {
+            group_by: vec![],
+            func,
+            over: over.map(String::from),
+            out: "t".into(),
+        })
+        .collect();
+        let merge = Operator::Merge {
+            column: "k".into(),
+            ascending: true,
+        };
+        let outs = run_parties(3, 17, |proto| {
+            let data = mine(proto, 0, &rel);
+            let shared = share_relation(proto, 0, data, &rel.schema, rel.num_rows())?;
+            let mut opened = Vec::new();
+            for op in &scalars {
+                let out = execute_party_op(proto, op, &[&shared], false)?;
+                opened.push(open_relation(proto, &out)?);
+            }
+            let mut parts = Vec::new();
+            for (owner, run) in runs.iter().enumerate() {
+                let data = mine(proto, owner as u32, run);
+                parts.push(share_relation(
+                    proto,
+                    owner as u32,
+                    data,
+                    &run.schema,
+                    run.num_rows(),
+                )?);
+            }
+            let refs: Vec<&PartyRelation> = parts.iter().collect();
+            let merged = execute_party_op(proto, &merge, &refs, false)?;
+            opened.push(open_relation(proto, &merged)?);
+            Ok(opened)
+        });
+        for opened in &outs {
+            for (op, got) in scalars.iter().zip(opened) {
+                assert_eq!(got.rows, execute(op, &[&rel]).unwrap().rows, "{op:?}");
+            }
+            let merged = &opened[scalars.len()];
+            assert!(merged.is_sorted_by("k", true));
+            assert!(merged.same_rows_unordered(&execute(&merge, &[&runs[0], &runs[1]]).unwrap()));
+        }
     }
 
     #[test]
@@ -2488,10 +2611,11 @@ mod tests {
             out: "sq".into(),
             operands: vec![Operand::col("a"), Operand::col("a"), Operand::lit(2)],
         };
-        let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-        let (expected_join, _) = oracle.execute_op(&join, &[&left, &right]).unwrap();
-        let (expected_filter, _) = oracle.execute_op(&filter_op, &[&left]).unwrap();
-        let (expected_mul, _) = oracle.execute_op(&mul, &[&left]).unwrap();
+        let expected_join = execute(&join, &[&left, &right]).unwrap();
+        let expected_filter = execute(&filter_op, &[&left]).unwrap();
+        let expected_mul = execute(&mul, &[&left]).unwrap();
+        let dup = Relation::from_ints(&["k", "a"], &[vec![7, 1], vec![7, 2], vec![7, 3]]);
+        let expected_dup = execute(&join, &[&dup, &dup]).unwrap();
         let outs = run_parties(3, 12, |proto| {
             let ldata = mine(proto, 0, &left);
             let sl = share_relation(proto, 0, ldata, &left.schema, left.num_rows())?;
@@ -2500,16 +2624,23 @@ mod tests {
             let j = execute_party_op(proto, &join, &[&sl, &sr], false)?;
             let f = execute_party_op(proto, &filter_op, &[&sl], false)?;
             let m = execute_party_op(proto, &mul, &[&sl], false)?;
+            let ddata = mine(proto, 2, &dup);
+            let sd = share_relation(proto, 2, ddata, &dup.schema, dup.num_rows())?;
+            let d = execute_party_op(proto, &join, &[&sd, &sd], false)?;
             Ok((
                 open_relation(proto, &j)?,
                 open_relation(proto, &f)?,
                 open_relation(proto, &m)?,
+                open_relation(proto, &d)?,
             ))
         });
-        for (j, f, m) in &outs {
+        for (j, f, m, d) in &outs {
             assert!(j.same_rows_unordered(&expected_join));
             assert!(f.same_rows_unordered(&expected_filter));
             assert!(m.same_rows_unordered(&expected_mul));
+            // All-equal keys join to the full 3×3 cross product.
+            assert_eq!(d.num_rows(), 9);
+            assert!(d.same_rows_unordered(&expected_dup));
         }
     }
 
@@ -2618,12 +2749,38 @@ mod tests {
                 false,
             )?;
             let opened = open_relation(proto, &agg)?;
-            Ok((sorted.num_rows(), opened))
+            let mut scalars = Vec::new();
+            for (func, over) in [
+                (AggFunc::Count, None),
+                (AggFunc::Sum, Some("v".to_string())),
+                (AggFunc::Min, Some("v".to_string())),
+                (AggFunc::Max, Some("v".to_string())),
+            ] {
+                let scalar = execute_party_op(
+                    proto,
+                    &Operator::Aggregate {
+                        group_by: vec![],
+                        func,
+                        over,
+                        out: "t".into(),
+                    },
+                    &[&shared],
+                    false,
+                )?;
+                scalars.push(open_relation(proto, &scalar)?);
+            }
+            Ok((sorted.num_rows(), opened, scalars))
         });
-        for (sorted_rows, agg) in &outs {
+        for (sorted_rows, agg, scalars) in &outs {
             assert_eq!(*sorted_rows, 0);
             assert_eq!(agg.num_rows(), 0);
             assert_eq!(agg.schema.names(), vec!["k", "s"]);
+            // COUNT and SUM over nothing are one row of 0, as in the clear;
+            // MIN and MAX (NULL in the clear) stay empty.
+            assert_eq!(scalars[0].rows, vec![vec![Value::Int(0)]]);
+            assert_eq!(scalars[1].rows, vec![vec![Value::Int(0)]]);
+            assert_eq!(scalars[2].num_rows(), 0);
+            assert_eq!(scalars[3].num_rows(), 0);
         }
     }
 

@@ -8,7 +8,7 @@
 //! (see [`crate::protocol`]).
 //!
 //! [`Shares`] is the *dealer-side* view: all `n` shares of one value, used by
-//! the in-process oracle. [`AuthShare`] is the *party-side* view used by the
+//! the in-process [`crate::protocol::Protocol`] of the hybrid operators. [`AuthShare`] is the *party-side* view used by the
 //! distributed runtime: one party's share of the value paired with its share
 //! of the value's SPDZ MAC `α·x` under the additively-shared global key `α`.
 

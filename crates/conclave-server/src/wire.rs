@@ -102,6 +102,13 @@ impl<'a> Cursor<'a> {
         Ok(word)
     }
 
+    /// Words not yet consumed: an upper bound on how many more values (of
+    /// at least one word each) the payload can still hold, so it caps every
+    /// pre-allocation sized from an unchecked count.
+    fn remaining(&self) -> usize {
+        self.words.len() - self.at
+    }
+
     fn text(&mut self) -> Result<String, String> {
         let len = self.next()? as usize;
         let body_words = len.div_ceil(8);
@@ -125,14 +132,18 @@ pub fn decode_outputs(words: &[u64]) -> Result<BTreeMap<PartyId, Relation>, Stri
     for _ in 0..n_outputs {
         let party = PartyId::try_from(cur.next()?).map_err(|e| format!("bad party id: {e}"))?;
         let n_cols = cur.next()? as usize;
-        let mut columns = Vec::with_capacity(n_cols);
+        let mut columns = Vec::with_capacity(n_cols.min(cur.remaining()));
         for _ in 0..n_cols {
             let name = cur.text()?;
             let dtype = dtype_from_code(cur.next()?)?;
             columns.push(ColumnDef::new(name, dtype));
         }
         let n_rows = cur.next()? as usize;
-        let mut rows = Vec::with_capacity(n_rows);
+        if n_cols == 0 && n_rows > 0 {
+            // Zero-width rows take no words, so nothing would bound the loop.
+            return Err(format!("{n_rows} rows without columns"));
+        }
+        let mut rows = Vec::with_capacity(n_rows.min(cur.remaining()));
         for _ in 0..n_rows {
             let mut row = Vec::with_capacity(n_cols);
             for _ in 0..n_cols {

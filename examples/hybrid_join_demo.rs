@@ -32,7 +32,7 @@ fn main() {
     .expect("hybrid join runs");
 
     // Standard MPC join for comparison.
-    let mut engine2 = MpcEngine::new(MpcBackendConfig::sharemind());
+    let engine2 = MpcEngine::new(MpcBackendConfig::sharemind());
     let (mpc_result, mpc_stats) = engine2
         .execute_op(
             &Operator::Join {

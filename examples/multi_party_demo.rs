@@ -150,14 +150,15 @@ fn run_tcp_query() {
     println!("  per-region totals:\n{}", indent(&out.to_string()));
     print_measured(&report);
 
-    // Differential check: the simulated oracle reveals identical cells.
+    // Differential check: the simulated session, which evaluates every MPC
+    // step in the clear, reveals identical cells.
     let oracle = bind(Session::new(
         ConclaveConfig::standard().with_sequential_local(),
     ))
     .run(&query)
     .expect("simulated run succeeds");
     assert!(out.same_rows_unordered(oracle.output_for(regulator.id).unwrap()));
-    println!("  result is cell-identical to the single-process oracle");
+    println!("  result is cell-identical to the cleartext (simulated) run");
 }
 
 fn indent(s: &str) -> String {

@@ -25,7 +25,7 @@ fn secret_sharing_and_garbled_backends_agree_with_cleartext() {
         BackendKind::OblivCLike,
         BackendKind::OblivVmLike,
     ] {
-        let mut engine = MpcEngine::new(MpcBackendConfig::new(kind));
+        let engine = MpcEngine::new(MpcBackendConfig::new(kind));
         let (out, stats) = engine.execute_op(&agg_op(), &[&rel]).unwrap();
         assert!(out.same_rows_unordered(&expected), "{kind} result mismatch");
         assert!(stats.simulated_time.as_secs_f64() > 0.0);
@@ -42,12 +42,12 @@ fn join_results_agree_across_backends() {
         kind: JoinKind::Inner,
     };
     let expected = conclave_engine::execute(&op, &[&left, &right]).unwrap();
-    let mut ss = MpcEngine::new(MpcBackendConfig::sharemind());
+    let ss = MpcEngine::new(MpcBackendConfig::sharemind());
     let (ss_out, ss_stats) = ss.execute_op(&op, &[&left, &right]).unwrap();
     assert!(ss_out.same_rows_unordered(&expected));
     assert_eq!(ss_stats.counts.equalities, 80 * 80);
 
-    let mut gc = MpcEngine::new(MpcBackendConfig::obliv_c());
+    let gc = MpcEngine::new(MpcBackendConfig::obliv_c());
     let (gc_out, gc_stats) = gc.execute_op(&op, &[&left, &right]).unwrap();
     assert!(gc_out.same_rows_unordered(&expected));
     assert!(gc_stats.circuit.and_gates > 0);

@@ -1,13 +1,14 @@
 //! Transport-equivalence property tests.
 //!
 //! The distributed party runtime must be **observationally identical** to the
-//! single-process `Protocol` oracle: for random share/open/multiply/aggregate
-//! workloads (including the empty-relation edge case), the values revealed by
-//! a mesh of real per-party endpoints — over the in-process channel transport
-//! *and* over localhost TCP — must be cell-identical to what the in-process
-//! engine reveals. Row *order* may differ where a protocol step involves an
-//! oblivious shuffle (the permutation streams differ), so relation-valued
-//! results are compared as multisets, exactly like the driver-level suites.
+//! cleartext oracle: for random share/open/multiply/aggregate workloads
+//! (including the empty-relation edge case), the values revealed by a mesh of
+//! real per-party endpoints — over the in-process channel transport *and*
+//! over localhost TCP — must be the cells that plain `i64` arithmetic or the
+//! cleartext engine (`conclave_engine::execute`) computes. Row *order* may
+//! differ where a protocol step involves an oblivious shuffle, so those
+//! results are compared as multisets; sorts are checked for key order plus
+//! the row multiset, because the Batcher network is not a stable sort.
 
 // Demo/test target: panicking on bad setup is the desired behavior here
 // (the workspace-level clippy::unwrap_used lint targets library code).
@@ -15,7 +16,6 @@
 
 use conclave::core::config::PartyRuntime;
 use conclave::core::party_exec::execute_op_distributed;
-use conclave::mpc::backend::{MpcBackendConfig, MpcEngine};
 use conclave::mpc::runtime::{PartyResult, PartySession, StepCtx};
 use conclave::mpc::AuthShare;
 use conclave::net::{ChannelTransport, TcpTransport, Transport};
@@ -96,22 +96,11 @@ proptest! {
         }
     }
 
-    /// Distributed Beaver multiplication opens the exact wrapping products —
-    /// the same values the in-process `Protocol` oracle produces.
+    /// Distributed Beaver multiplication opens the exact wrapping products.
     #[test]
     fn multiply_matches_the_oracle(pairs in prop::collection::vec((any::<i64>(), any::<i64>()), 1..10),
                                    seed in any::<u64>()) {
-        // Oracle: in-process protocol.
-        let mut oracle = conclave::mpc::Protocol::new(3, seed);
-        let expected: Vec<i64> = pairs
-            .iter()
-            .map(|&(x, y)| {
-                let sx = oracle.share_value(x);
-                let sy = oracle.share_value(y);
-                let prod = oracle.mul(&sx, &sy);
-                oracle.open(&prod)
-            })
-            .collect();
+        let expected: Vec<i64> = pairs.iter().map(|&(x, y)| x.wrapping_mul(y)).collect();
         let program = |proto: &mut StepCtx| -> PartyResult<Vec<i64>> {
             let own = proto.party() == 0;
             let xs: Vec<i64> = pairs.iter().map(|p| p.0).collect();
@@ -147,7 +136,7 @@ fn edge_i64() -> impl Strategy<Value = i64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Circuit lt/eq match the in-process oracle on signed boundary values —
+    /// Circuit lt/eq match signed `i64` comparison on boundary values —
     /// including equal-operand pairs — over channel *and* TCP meshes.
     #[test]
     fn circuit_comparisons_match_the_oracle_on_signed_boundaries(
@@ -157,16 +146,9 @@ proptest! {
         let mut pairs = pairs;
         let dup = pairs[0].0;
         pairs.push((dup, dup));
-        let mut oracle = conclave::mpc::Protocol::new(3, seed);
         let expected: Vec<i64> = pairs
             .iter()
-            .flat_map(|&(x, y)| {
-                let sx = oracle.share_value(x);
-                let sy = oracle.share_value(y);
-                let lt = oracle.lt(&sx, &sy);
-                let eq = oracle.eq(&sx, &sy);
-                [oracle.open(&lt), oracle.open(&eq)]
-            })
+            .flat_map(|&(x, y)| [i64::from(x < y), i64::from(x == y)])
             .collect();
         let program = |proto: &mut StepCtx| -> PartyResult<Vec<i64>> {
             let own = proto.party() == 0;
@@ -191,8 +173,8 @@ proptest! {
         }
     }
 
-    /// Sorting columns that contain i64::MIN/MAX and negatives produces the
-    /// oracle's exact row order on both distributed runtimes.
+    /// Sorting columns that contain i64::MIN/MAX and negatives orders them
+    /// as signed integers on both distributed runtimes.
     #[test]
     fn sort_matches_the_oracle_on_signed_boundaries(
         values in prop::collection::vec(edge_i64(), 0..8),
@@ -203,7 +185,7 @@ proptest! {
             &values.iter().enumerate().map(|(i, &v)| vec![i as i64, v]).collect::<Vec<_>>(),
         );
         let op = Operator::SortBy { column: "v".into(), ascending };
-        assert_op_equivalence(&op, &rel, seed, true);
+        assert_op_equivalence(&op, &rel, seed);
     }
 }
 
@@ -218,23 +200,23 @@ fn keyed_relation(rows: &[(i64, i64)]) -> Relation {
     )
 }
 
-/// Executes `op` on the in-process oracle and on both distributed transports,
-/// and requires cell-identical reveals. `ordered` demands the exact same row
-/// order (sorts, whose networks are deterministic and shuffle-free);
-/// unordered comparison is for operators whose output order depends on an
-/// oblivious shuffle, where the two runtimes draw different permutations.
-fn assert_op_equivalence(op: &Operator, rel: &Relation, seed: u64, ordered: bool) {
-    let mut oracle = MpcEngine::new(MpcBackendConfig::sharemind());
-    let (expected, _) = oracle.execute_op(op, &[rel]).expect("oracle executes");
+/// Executes `op` in the clear and on both distributed transports, and
+/// requires the same revealed rows as a multiset. For a sort (`SortBy`) the
+/// reveal must also be in key order; rows with equal keys may come in any
+/// order, since the Batcher network is not stable.
+fn assert_op_equivalence(op: &Operator, rel: &Relation, seed: u64) {
+    let expected = conclave_engine::execute(op, &[rel]).expect("oracle executes");
     let table = Table::from_rows(rel.clone());
     for runtime in [PartyRuntime::Channel, PartyRuntime::Tcp] {
         let outcome = execute_op_distributed(op, &[&table], 3, seed, runtime, false)
             .expect("distributed step executes");
-        let matches = if ordered {
-            outcome.relation.rows == expected.rows
-        } else {
-            outcome.relation.same_rows_unordered(&expected)
+        let ordered = match op {
+            Operator::SortBy { column, ascending } => {
+                outcome.relation.is_sorted_by(column, *ascending)
+            }
+            _ => true,
         };
+        let matches = ordered && outcome.relation.same_rows_unordered(&expected);
         assert!(
             matches,
             "{runtime:?} diverged on {}:\n{}\nvs oracle\n{}",
@@ -249,8 +231,8 @@ fn assert_op_equivalence(op: &Operator, rel: &Relation, seed: u64, ordered: bool
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random grouped-aggregation workloads reveal identical cells on the
-    /// oracle, the channel mesh and the TCP mesh.
+    /// Random grouped-aggregation workloads reveal identical cells in the
+    /// clear, on the channel mesh and on the TCP mesh.
     #[test]
     fn aggregate_matches_the_oracle(rows in prop::collection::vec((any::<i64>(), any::<i64>()), 0..10),
                                     func_sel in 0u8..4,
@@ -269,17 +251,17 @@ proptest! {
             over,
             out: "agg".into(),
         };
-        assert_op_equivalence(&op, &rel, seed, false);
+        assert_op_equivalence(&op, &rel, seed);
     }
 
-    /// Random sort workloads produce identically-ordered reveals.
+    /// Random sort workloads reveal the input rows in key order.
     #[test]
     fn sort_matches_the_oracle(rows in prop::collection::vec((any::<i64>(), any::<i64>()), 0..10),
                                ascending in any::<bool>(),
                                seed in any::<u64>()) {
         let rel = keyed_relation(&rows);
         let op = Operator::SortBy { column: "v".into(), ascending };
-        assert_op_equivalence(&op, &rel, seed, true);
+        assert_op_equivalence(&op, &rel, seed);
     }
 }
 
@@ -293,7 +275,7 @@ fn empty_relation_share_open_and_aggregate() {
         over: Some("v".into()),
         out: "s".into(),
     };
-    assert_op_equivalence(&op, &empty, 99, false);
+    assert_op_equivalence(&op, &empty, 99);
     // Raw share/open of an empty column moves no payload but still works.
     let outs = run_mesh(ChannelTransport::mesh(2), 5, |p| {
         share_open_program(p, 0, &[])
@@ -382,7 +364,8 @@ fn pipeline_round_and_mesh_counts_are_pinned() {
 
 /// Offline-material equivalence matrix: the same plan over every
 /// `{seeded, file, streamed} × {channel, tcp}` combination must reveal the
-/// same result multiset as the in-process simulated oracle. Where the
+/// same result multiset as the simulated session, which evaluates every step
+/// in the clear. Where the
 /// material comes from (synthesized, pregenerated files, or a dealer
 /// streaming over dedicated links) must never change what the online phase
 /// computes — only who paid for the offline phase, and when.
@@ -440,8 +423,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The pipelined runtime (resident shares, deferred opens) reveals
-    /// cell-identical results to the in-process simulated oracle on random
-    /// multi-step workloads.
+    /// cell-identical results to the simulated session (every step evaluated
+    /// in the clear) on random multi-step workloads.
     #[test]
     fn pipelined_execution_matches_the_simulated_oracle(
         na in 0i64..12, nb in 0i64..12, salt_a in any::<i64>(), salt_b in any::<i64>()) {
@@ -517,6 +500,107 @@ fn tcp_two_party_query_matches_the_simulated_session() {
                     "no observed traffic on link P{from}->P{to}"
                 );
             }
+        }
+    }
+}
+
+/// `concat(ta, tb)` → `filter v > 1000` → a scalar aggregate: over
+/// `pipeline_rows` no row passes the filter, so the aggregate sees nothing.
+fn empty_scalar_query(func: AggFunc) -> conclave_ir::builder::Query {
+    let pa = Party::new(1, "a");
+    let pb = Party::new(2, "b");
+    let schema = Schema::ints(&["k", "v"]);
+    let mut q = QueryBuilder::new();
+    let a = q.input("ta", schema.clone(), pa.clone());
+    let b = q.input("tb", schema, pb);
+    let all = q.concat(&[a, b]);
+    let none = q.filter(all, Expr::col("v").gt(Expr::lit(1000)));
+    let total = match func {
+        AggFunc::Count => q.aggregate(none, "total", func, &[], "v"),
+        _ => q.aggregate_scalar(none, "total", func, "v"),
+    };
+    q.collect(total, std::slice::from_ref(&pa));
+    q.build().unwrap()
+}
+
+/// Runs `query` over the empty-after-filter inputs under `config` with each
+/// party runtime, returning the output (or the error text) per runtime.
+fn run_empty_scalar(
+    config: &ConclaveConfig,
+    query: &conclave_ir::builder::Query,
+) -> Vec<(PartyRuntime, Result<Relation, String>)> {
+    [
+        PartyRuntime::Simulated,
+        PartyRuntime::Channel,
+        PartyRuntime::Tcp,
+    ]
+    .into_iter()
+    .map(|runtime| {
+        let out = Session::new(config.clone().with_party_runtime(runtime))
+            .bind("ta", pipeline_rows(6, 1))
+            .bind("tb", pipeline_rows(5, 2))
+            .run(query)
+            .map(|report| report.output_for(1).unwrap().clone())
+            .map_err(|e| e.to_string());
+        (runtime, out)
+    })
+    .collect()
+}
+
+/// A scalar COUNT or SUM over an MPC input that no row reaches returns one
+/// row of 0 in every configuration — the cleartext engine's answer — whether
+/// the aggregate runs in the clear (simulated), on the channel mesh or over
+/// TCP, and whether the plan pushes work to the parties (`standard`) or not
+/// (`mpc_only`).
+#[test]
+fn empty_scalar_count_and_sum_agree_across_runtimes_and_plans() {
+    for func in [AggFunc::Sum, AggFunc::Count] {
+        let query = empty_scalar_query(func);
+        for config in [
+            ConclaveConfig::standard().with_sequential_local(),
+            ConclaveConfig::mpc_only().with_sequential_local(),
+        ] {
+            for (runtime, out) in run_empty_scalar(&config, &query) {
+                let out = out.unwrap_or_else(|e| panic!("{func} on {runtime:?}: {e}"));
+                assert_eq!(
+                    out.rows,
+                    vec![vec![Value::Int(0)]],
+                    "{func} on {runtime:?} returned\n{out}"
+                );
+            }
+        }
+    }
+}
+
+/// Pins scalar MIN/MAX over an MPC input that no row reaches, which the
+/// configurations do **not** agree on (see `docs/SQL.md`): the cleartext
+/// answer is NULL, which the integer share domain cannot hold.
+/// - `mpc_only`: simulated mode evaluates in the clear and returns one NULL
+///   row; the meshes return no rows.
+/// - `standard`: each party's local partial aggregate is NULL, and sharing a
+///   NULL fails with the same typed error in every runtime.
+#[test]
+fn empty_scalar_min_max_outcomes_are_pinned() {
+    for func in [AggFunc::Min, AggFunc::Max] {
+        let query = empty_scalar_query(func);
+        let mpc_only = ConclaveConfig::mpc_only().with_sequential_local();
+        for (runtime, out) in run_empty_scalar(&mpc_only, &query) {
+            let rows = out
+                .unwrap_or_else(|e| panic!("{func} on {runtime:?}: {e}"))
+                .rows;
+            let expected = match runtime {
+                PartyRuntime::Simulated => vec![vec![Value::Null]],
+                _ => vec![],
+            };
+            assert_eq!(rows, expected, "mpc_only {func} on {runtime:?}");
+        }
+        let standard = ConclaveConfig::standard().with_sequential_local();
+        for (runtime, out) in run_empty_scalar(&standard, &query) {
+            let err = out.expect_err("a NULL partial aggregate cannot be shared");
+            assert!(
+                err.contains("cannot share non-integer value NULL"),
+                "standard {func} on {runtime:?}: {err}"
+            );
         }
     }
 }
